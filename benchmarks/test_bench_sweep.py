@@ -1,25 +1,22 @@
-"""Sweep engine benchmarks: parallelism and the vectorized slot pipeline.
+"""Sweep engine benchmarks: parallelism and the batch slot pipeline.
 
-Three guards share this module:
+Two guards share this module:
 
 * serial vs process-parallel ``sweep_badabing`` (same 8-cell grid both
   ways) — byte-identical digests always, >= 1.5x speedup when the
   machine exposes 4+ cores;
-* scalar vs vectorized *slot-pipeline kernel* (marking → y_i assembly →
-  pattern fold over a large synthesized measurement, each mode timed
+* scalar vs batch *slot-pipeline kernel* (marking → y_i assembly →
+  pattern fold over a large synthesized measurement, each side timed
   from its native representation: the scalar reference from
-  ``ProbeRecord`` objects, the batch pipeline from ``ProbeArrays``) —
-  identical counters/estimates always, >= 5x faster when 4+ cores are
-  exposed (the gate is really about not asserting wall-clock on starved
-  CI containers; the kernel itself is single-threaded);
-* scalar vs vectorized *end-to-end sweep* digests — the full
-  ``run_badabing`` path is event-simulator-dominated, so no speedup is
-  asserted there; what must hold everywhere is that ``vectorized=True``
-  leaves the scorecard and merged metrics snapshot digests byte-identical.
+  ``ProbeRecord`` objects, the batch pipeline that offline re-estimation
+  runs from ``ProbeArrays``) — identical counters/estimates always, >= 5x
+  faster when 4+ cores are exposed (the gate is really about not
+  asserting wall-clock on starved CI containers; the kernel itself is
+  single-threaded).
 
 All wall times land in ``benchmarks/results/`` (text archives) and the
 machine-readable BENCH trajectory via ``bench_record``, so the step
-change from the vectorized kernel is visible in ``badabing-sim bench
+change from the batch kernel is visible in ``badabing-sim bench
 --compare``.
 """
 
@@ -114,7 +111,7 @@ def test_parallel_sweep_matches_serial_and_records_speedup(archive, bench_record
 
 
 # ---------------------------------------------------------------------------
-# Vectorized slot-pipeline kernel
+# Batch slot-pipeline kernel
 # ---------------------------------------------------------------------------
 
 KERNEL_N_SLOTS = 120_000
@@ -136,7 +133,6 @@ def _synthesize_measurement():
         KERNEL_N_SLOTS,
         random.Random(KERNEL_SEED),
         improved=True,
-        vectorized=True,
     )
     rng = random.Random(KERNEL_SEED + 1)
     records = []
@@ -172,7 +168,9 @@ def test_vectorized_kernel_speedup(archive, bench_record):
     schedule, records = _synthesize_measurement()
     config = MarkingConfig()
     marker = CongestionMarker(config)
-    arrays = batch.ProbeArrays.from_records(records)  # untimed: native input
+    # Untimed: the batch pipeline's native input.
+    arrays = batch.ProbeArrays.from_records(records)
+    starts, lengths = batch.experiment_arrays(schedule.experiments)
 
     started = time.perf_counter()
     marked = marker.mark(records)
@@ -181,13 +179,7 @@ def test_vectorized_kernel_speedup(archive, bench_record):
     scalar_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    pipeline = batch.run_slot_pipeline(
-        schedule.start_array,
-        schedule.length_array,
-        arrays,
-        marking=config,
-        n_slots=schedule.n_slots,
-    )
+    pipeline = batch.run_slot_pipeline(starts, lengths, arrays, marking=config)
     vectorized_s = time.perf_counter() - started
 
     # Equivalence is asserted on every machine, regardless of speed.
@@ -196,7 +188,10 @@ def test_vectorized_kernel_speedup(archive, bench_record):
         batch.materialize_outcomes(pipeline.starts, pipeline.keys, pipeline.valid)
         == outcomes
     )
-    assert pipeline.marking.slot_states_dict() == marked.slot_states
+    assert (
+        dict(zip([r.slot for r in records], pipeline.marking.states.tolist()))
+        == marked.slot_states
+    )
     assert estimate_from_counter(pipeline.counter, improved=True) == (
         estimate_from_counter(scalar_counter, improved=True)
     )
@@ -233,46 +228,3 @@ def test_vectorized_kernel_speedup(archive, bench_record):
             f"{speedup:.2f}x (scalar {scalar_s:.3f}s vs vectorized "
             f"{vectorized_s:.3f}s)"
         )
-
-
-def test_vectorized_sweep_digests_match_scalar(archive, bench_record):
-    """End-to-end: vectorized cells leave sweep digests byte-identical."""
-    cells = [{"p": 0.3, "seed": 1}, {"p": 0.5, "seed": 2}]
-
-    def timed(vectorized):
-        registry = MetricsRegistry()
-        started = time.perf_counter()
-        outcomes = sweep_badabing(
-            cells, metrics=registry, vectorized=vectorized, **GRID_KWARGS
-        )
-        elapsed = time.perf_counter() - started
-        assert all(o.ok for o in outcomes)
-        return (
-            elapsed,
-            scorecard_digest(scorecard_from_outcomes(outcomes)),
-            snapshot_digest(registry.snapshot()),
-        )
-
-    scalar_s, scalar_card, scalar_snap = timed(False)
-    vectorized_s, vectorized_card, vectorized_snap = timed(True)
-    assert vectorized_card == scalar_card
-    assert vectorized_snap == scalar_snap
-
-    archive(
-        "bench_vectorized_sweep",
-        "\n".join(
-            [
-                f"cells={len(cells)}",
-                f"scalar_s={scalar_s:.3f}",
-                f"vectorized_s={vectorized_s:.3f}",
-                f"scorecard_digest={scalar_card}",
-                f"metrics_digest={scalar_snap}",
-            ]
-        ),
-    )
-    bench_record(
-        "vectorized_sweep",
-        vectorized_s,
-        scalar_seconds=scalar_s,
-        cells=len(cells),
-    )

@@ -170,7 +170,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         metrics=metrics,
         tracer=tracer,
         keep=keep,
-        vectorized=args.vectorized,
     )
     if args.metrics_out:
         write_metrics_document(args.metrics_out, metrics, result.manifest)
@@ -322,7 +321,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             n_slots=n_slots,
             warmup=profile.warmup,
             improved=args.improved,
-            vectorized=args.vectorized,
         )
     finally:
         # Flush the final export record on every exit path, so a sweep
@@ -379,9 +377,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     result = reestimate(
-        measurement,
-        marking=MarkingConfig(alpha=args.alpha, tau=args.tau),
-        vectorized=args.vectorized,
+        measurement, marking=MarkingConfig(alpha=args.alpha, tau=args.tau)
     )
     print(
         f"trace: {args.trace} (N={measurement.n_slots}, p={measurement.p}, "
@@ -1190,11 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--slots", type=int, default=0, help="number of 5ms slots (N)")
     measure.add_argument("--seed", type=int, default=1)
     measure.add_argument("--improved", action="store_true", help="use the §5.3 improved algorithm")
-    measure.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="use the array-batched slot pipeline (identical results, faster)",
-    )
     measure.add_argument("--save", default="", help="save the measurement trace (JSONL)")
     measure.add_argument(
         "--faults",
@@ -1221,11 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recover",
         action="store_true",
         help="skip corrupt trace lines (with diagnostics) instead of aborting",
-    )
-    analyze.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="use the array-batched slot pipeline (identical results, faster)",
     )
     analyze.set_defaults(handler=_cmd_analyze)
 
@@ -1264,11 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--improved", action="store_true", help="use the §5.3 improved algorithm"
-    )
-    sweep.add_argument(
-        "--vectorized",
-        action="store_true",
-        help="use the array-batched slot pipeline in every cell (identical results)",
     )
     sweep.add_argument(
         "--audit-out",

@@ -20,7 +20,7 @@ can attribute drops (used by the Figure 8 analysis of probe impact).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import AffineClock, Clock, SimClock
@@ -227,55 +227,6 @@ def filter_blackouts(
     ]
 
 
-def _assemble_result_vectorized(
-    schedule: GeometricSchedule,
-    probes: List[ProbeRecord],
-    config: BadabingConfig,
-    marker: Optional[CongestionMarker],
-    tracer: Optional["Tracer"],
-) -> Tuple[Any, Any, Any, Any]:
-    """Array-batched middle of :func:`assemble_result`.
-
-    Returns ``(marked, outcomes, coverage, (estimate, validation))`` with
-    values bit-identical to the scalar stages — the batch pipeline folds
-    the pattern counter once with ``np.bincount`` and both the estimator
-    and the validator read that one counter.
-    """
-    from repro.core import batch
-    from repro.core.estimators import estimate_from_counter
-    from repro.core.validation import report_from_counter
-
-    marking_cfg = marker.config if marker is not None else config.marking
-    with trace_span(tracer, "probe.mark", n_probes=len(probes)):
-        arrays = batch.ProbeArrays.from_records(probes)
-        if schedule.start_array is not None:
-            starts, lengths = schedule.start_array, schedule.length_array
-        else:
-            starts, lengths = batch.experiment_arrays(schedule.experiments)
-        pipeline = batch.run_slot_pipeline(
-            starts, lengths, arrays, marking=marking_cfg, n_slots=schedule.n_slots
-        )
-    marked = MarkingResult(
-        slot_states=pipeline.marking.slot_states_dict(),
-        marked_by_loss=pipeline.marking.marked_by_loss,
-        marked_by_delay=pipeline.marking.marked_by_delay,
-        noise_losses=pipeline.marking.noise_losses,
-        owd_max_estimates=pipeline.marking.owd_max_estimates,
-    )
-    outcomes = batch.materialize_outcomes(
-        pipeline.starts, pipeline.keys, pipeline.valid
-    )
-    with trace_span(tracer, "probe.estimate"):
-        estimate = estimate_from_counter(
-            pipeline.counter, improved=config.improved, coverage=pipeline.coverage
-        )
-    with trace_span(tracer, "probe.validate"):
-        validation = report_from_counter(
-            pipeline.counter, coverage=pipeline.coverage
-        )
-    return marked, outcomes, pipeline.coverage, (estimate, validation)
-
-
 def assemble_result(
     schedule: GeometricSchedule,
     probes: List[ProbeRecord],
@@ -284,7 +235,6 @@ def assemble_result(
     blackout_windows: Optional[List[Tuple[float, float]]] = None,
     duplicate_arrivals: int = 0,
     tracer: Optional["Tracer"] = None,
-    vectorized: bool = False,
 ) -> BadabingResult:
     """Marking + estimation + validation over a joined probe stream.
 
@@ -296,35 +246,8 @@ def assemble_result(
     ``(start, end)`` send-time intervals during which the collector is
     known to have been down — probes inside them are excluded (degrading
     coverage) rather than mistaken for total loss.
-
-    ``vectorized`` routes the marking → y_i → fold middle through the
-    array-batched pipeline (:mod:`repro.core.batch`). The result is
-    bit-identical — same outcomes, counts, estimates, and coverage — so
-    the switch is purely about wall time; it needs numpy and honours a
-    custom ``marker``'s *config* (a subclassed ``_mark`` would be
-    bypassed, so exotic markers should stay scalar).
     """
     probes = filter_blackouts(probes, blackout_windows)
-    if vectorized:
-        marked, outcomes, coverage, (estimate, validation) = (
-            _assemble_result_vectorized(schedule, probes, config, marker, tracer)
-        )
-        return BadabingResult(
-            estimate=estimate,
-            validation=validation,
-            marking=marked,
-            probes=probes,
-            outcomes=outcomes,
-            n_probes_sent=schedule.n_probes,
-            probe_load_bps=schedule.probe_load_bps(
-                config.probe.packets_per_probe,
-                config.probe.probe_size,
-                config.probe.slot,
-            ),
-            slot_width=config.probe.slot,
-            coverage=coverage,
-            duplicate_arrivals=duplicate_arrivals,
-        )
     if marker is None:
         marker = CongestionMarker(config.marking)
     with trace_span(tracer, "probe.mark", n_probes=len(probes)):
@@ -373,26 +296,18 @@ class BadabingTool:
         receiver_clock: Optional[AffineClock] = None,
         rng_label: str = "badabing",
         tracer: Optional["Tracer"] = None,
-        vectorized: Optional[bool] = None,
     ):
         self.sim = sim
         self.config = config if config is not None else BadabingConfig()
         self.start = start
         self.tracer = tracer
         self._loss_recorded = False
-        # Per-tool override beats the simulator-wide default; both mere
-        # speed switches (the schedule, estimates, and digests are
-        # bit-identical either way).
-        self.vectorized = (
-            vectorized if vectorized is not None else getattr(sim, "vectorized", False)
-        )
         cfg = self.config
         self.schedule = GeometricSchedule(
             cfg.p,
             cfg.n_slots,
             sim.rng(rng_label + "-schedule"),
             improved=cfg.improved,
-            vectorized=self.vectorized,
         )
         receiver_port = ephemeral_port()
         self.receiver = _ProbeReceiver(
@@ -516,5 +431,4 @@ class BadabingTool:
             marker=marker,
             duplicate_arrivals=self.receiver.duplicate_arrivals,
             tracer=self.tracer,
-            vectorized=self.vectorized,
         )

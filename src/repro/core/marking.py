@@ -77,28 +77,6 @@ class CongestionMarker:
         with _profiling.profile_stage("marking.apply"):
             return self._mark(probes)
 
-    def mark_arrays(self, arrays) -> "MarkingResult":
-        """Array-batched marking over a probe structure-of-arrays.
-
-        Takes a :class:`repro.core.batch.ProbeArrays` and runs the
-        vectorized §6.1 pass (:func:`repro.core.batch.mark_probe_arrays`),
-        which is bit-identical to :meth:`mark` over the equivalent record
-        list; the result is materialized into the scalar
-        :class:`MarkingResult` shape for drop-in consumers. Callers that
-        stay array-native (the batch pipeline) use the batch function
-        directly and skip the dict materialization.
-        """
-        from repro.core.batch import mark_probe_arrays
-
-        batch = mark_probe_arrays(arrays, self.config)
-        return MarkingResult(
-            slot_states=batch.slot_states_dict(),
-            marked_by_loss=batch.marked_by_loss,
-            marked_by_delay=batch.marked_by_delay,
-            noise_losses=batch.noise_losses,
-            owd_max_estimates=batch.owd_max_estimates,
-        )
-
     def _mark(self, probes: Sequence[ProbeRecord]) -> MarkingResult:
         cfg = self.config
         for i in range(1, len(probes)):

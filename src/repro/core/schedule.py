@@ -62,12 +62,6 @@ class GeometricSchedule:
     improved:
         If True, each experiment is extended (3 slots) with probability 1/2
         (§5.3); otherwise all experiments are basic (2 slots).
-    vectorized:
-        Generate via the array-batched RNG sweep in :mod:`repro.core.batch`
-        (one mirrored block draw instead of a per-slot loop). The draw
-        sequence, the resulting experiment list, and the state ``rng`` is
-        left in are all identical to the scalar loop — this is a pure
-        speed switch. Requires numpy.
 
     Start coins are drawn for *every* slot (the i.i.d. Bernoulli(p) design
     property), and the window edge is handled afterwards: an extended draw
@@ -86,7 +80,6 @@ class GeometricSchedule:
         n_slots: int,
         rng: random.Random,
         improved: bool = False,
-        vectorized: bool = False,
     ):
         if not 0 < p <= 1:
             raise ConfigurationError(f"p must be in (0, 1], got {p}")
@@ -96,27 +89,6 @@ class GeometricSchedule:
         self.n_slots = n_slots
         self.improved = improved
         self.experiments: List[Experiment] = []
-        #: Experiment (start, length) pairs as int64 arrays when generated
-        #: vectorized (None on the scalar path) — downstream batch stages
-        #: reuse them without re-walking the experiment objects.
-        self.start_array = None
-        self.length_array = None
-        if vectorized:
-            from repro.core import batch
-
-            starts, lengths = batch.draw_schedule_arrays(
-                p, n_slots, rng, improved=improved
-            )
-            self.start_array = starts
-            self.length_array = lengths
-            self.experiments = [
-                Experiment(start, length)
-                for start, length in zip(starts.tolist(), lengths.tolist())
-            ]
-            self.probe_slots: List[int] = batch.probe_slots_from_experiments(
-                starts, lengths, n_slots
-            ).tolist()
-            return
         probed = set()
         prof = _profiling.ACTIVE
         prof_frame = prof.start("schedule.generate") if prof is not None else None

@@ -305,15 +305,8 @@ def run_badabing(
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     keep: Optional[Dict[str, Any]] = None,
-    vectorized: bool = False,
 ) -> Tuple[BadabingResult, GroundTruth]:
     """Full BADABING experiment: returns (tool result, ground truth).
-
-    ``vectorized`` routes schedule generation and the marking → estimator
-    fold through the array-batched pipeline (:mod:`repro.core.batch`);
-    results and digests are bit-identical to the scalar path — it is a
-    speed switch only (requires numpy). Works per-cell under
-    :func:`sweep_badabing` too: pass it in ``common`` or any cell dict.
 
     ``keep`` (if provided) is filled with the live objects (sim, testbed,
     tool, traffic, fault_injector) so callers can do further analysis —
@@ -351,7 +344,6 @@ def run_badabing(
         sender_clock=sender_clock,
         receiver_clock=receiver_clock,
         tracer=tracer,
-        vectorized=vectorized,
     )
     injector = install_faults(sim, testbed, faults, anchor=warmup)
     _start_heartbeat(sim, tracer, until=tool.end_time + DRAIN_TIME)

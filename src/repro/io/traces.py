@@ -15,11 +15,8 @@ machines and re-analyzed with different §6.1 marking parameters.
 Alongside the JSONL format there is a packed binary variant
 (:func:`save_measurement_binary` / :func:`load_measurement_binary`): the
 same measurement as a structure-of-arrays ``.npz`` archive, written and
-read in one shot instead of one JSON object per probe. A long trace loads
-as a handful of contiguous arrays — the natural feed for the vectorized
-pipeline (:meth:`Measurement.probe_arrays` →
-:func:`repro.core.batch.run_slot_pipeline`) — and round-trips exactly
-(float bit patterns preserved).
+read in one shot instead of one JSON object per probe, and round-trips
+exactly (float bit patterns preserved).
 """
 
 from __future__ import annotations
@@ -34,11 +31,11 @@ from typing import Any, Dict, List, Optional, Union
 from repro import profiling as _profiling
 from repro.config import MarkingConfig
 from repro.core.badabing import BadabingResult, BadabingTool
-from repro.core.estimators import estimate_from_outcomes
-from repro.core.marking import CongestionMarker
+from repro.core.estimators import estimate_from_counter
+from repro.core.marking import MarkingResult
 from repro.core.records import ExperimentOutcome, ProbeRecord
-from repro.core.schedule import Experiment, coverage_report
-from repro.core.validation import validate_outcomes
+from repro.core.schedule import Experiment
+from repro.core.validation import report_from_counter
 from repro.errors import ConfigurationError, TraceFormatError
 
 FORMAT_NAME = "badabing-trace"
@@ -87,24 +84,6 @@ class Measurement:
                     ExperimentOutcome(experiment.start_slot, tuple(bits))
                 )
         return outcomes
-
-    def probe_arrays(self):
-        """This measurement's probes as a batch structure-of-arrays.
-
-        Returns a :class:`repro.core.batch.ProbeArrays` (requires numpy)
-        sorted by send time, ready for
-        :func:`repro.core.batch.run_slot_pipeline`.
-        """
-        from repro.core.batch import ProbeArrays
-
-        probes = sorted(self.probes, key=lambda probe: probe.send_time)
-        return ProbeArrays.from_records(probes)
-
-    def experiment_arrays(self):
-        """The schedule as ``(starts, lengths)`` int64 arrays (needs numpy)."""
-        from repro.core.batch import experiment_arrays
-
-        return experiment_arrays(self.experiments)
 
 
 def measurement_from_tool(
@@ -213,9 +192,9 @@ class TraceWriter:
 
         The per-probe :meth:`write_probe` flushes after every line (the
         crash-safety contract for live sessions); batch writers — sweep
-        archival, trace re-export, the vectorized pipeline dumping a whole
-        run — pay that syscall tax per *batch* instead. Line format and
-        resulting file bytes are identical to repeated single writes.
+        archival, trace re-export — pay that syscall tax per *batch*
+        instead. Line format and resulting file bytes are identical to
+        repeated single writes.
         """
         if self._handle is None:
             raise TraceFormatError(f"trace writer for {self.path} is closed")
@@ -509,31 +488,68 @@ def reestimate(
     measurement: Measurement,
     marking: Optional[MarkingConfig] = None,
     improved: Optional[bool] = None,
-    vectorized: bool = False,
 ) -> BadabingResult:
     """Offline §6.1 marking + §5 estimation over a loaded trace.
+
+    Runs the array-batched slot pipeline
+    (:func:`repro.core.batch.run_slot_pipeline`), because re-marking a long
+    trace — over a whole (α, τ) grid for Fig. 9 — is where the slot
+    pipeline is the whole cost. The result is bit-identical to the scalar
+    stages (:meth:`CongestionMarker.mark
+    <repro.core.marking.CongestionMarker.mark>` → :meth:`Measurement.outcomes`
+    → :func:`~repro.core.schedule.coverage_report` →
+    :func:`~repro.core.estimators.estimate_from_outcomes` /
+    :func:`~repro.core.validation.validate_outcomes`). Probes are taken in
+    file order: a trace whose probes are not sorted by send time raises
+    :class:`~repro.errors.ConfigurationError`, as the scalar marker does,
+    and so does a trace whose probes or experiments reach past its
+    ``n_slots``.
 
     Degrades like the live tool: partial traces (recovery-mode loads,
     receiver outages) produce an estimate with a sub-unity coverage
     report; a trace with no usable experiments raises
     :class:`~repro.errors.EstimationError` describing the coverage.
-    ``vectorized`` runs the marking → fold middle as array passes
-    (requires numpy); the result is bit-identical to the scalar path.
     """
-    if vectorized:
-        return _reestimate_vectorized(measurement, marking, improved)
-    marker = CongestionMarker(marking)
-    marked = marker.mark(measurement.probes)
-    outcomes = measurement.outcomes(marked.slot_states)
-    coverage = coverage_report(measurement.experiments, marked.slot_states)
-    estimate = estimate_from_outcomes(outcomes, improved=improved, coverage=coverage)
+    from repro.core import batch
+
+    probes = measurement.probes
+    arrays = batch.ProbeArrays.from_records(probes)
+    starts, lengths = batch.experiment_arrays(measurement.experiments)
+    # The batch stages index arrays by slot number, so a corrupt slot far
+    # past the window would allocate memory in proportion to its value.
+    reach = max(
+        int(arrays.slot.max()) + 1 if len(arrays) else 0,
+        int((starts + lengths).max()) if len(starts) else 0,
+    )
+    if reach > measurement.n_slots:
+        raise ConfigurationError(
+            f"trace slots reach slot {reach - 1}, past its "
+            f"n_slots={measurement.n_slots}"
+        )
+    pipeline = batch.run_slot_pipeline(starts, lengths, arrays, marking)
+    marked = pipeline.marking
+    coverage = pipeline.coverage
     return BadabingResult(
-        estimate=estimate,
-        validation=validate_outcomes(outcomes, coverage=coverage),
-        marking=marked,
-        probes=measurement.probes,
-        outcomes=outcomes,
-        n_probes_sent=len({probe.slot for probe in measurement.probes}),
+        estimate=estimate_from_counter(
+            pipeline.counter, improved=improved, coverage=coverage
+        ),
+        validation=report_from_counter(pipeline.counter, coverage=coverage),
+        marking=MarkingResult(
+            # Keyed by the records' own slot ints: ints minted from the
+            # slot array would cost memory for as long as the result lives.
+            slot_states=dict(
+                zip([probe.slot for probe in probes], marked.states.tolist())
+            ),
+            marked_by_loss=marked.marked_by_loss,
+            marked_by_delay=marked.marked_by_delay,
+            noise_losses=marked.noise_losses,
+            owd_max_estimates=marked.owd_max_estimates,
+        ),
+        probes=probes,
+        outcomes=batch.materialize_outcomes(
+            pipeline.starts, pipeline.keys, pipeline.valid
+        ),
+        n_probes_sent=len({probe.slot for probe in probes}),
         probe_load_bps=_probe_load_bps(measurement),
         slot_width=measurement.slot_width,
         coverage=coverage,
@@ -549,50 +565,4 @@ def _probe_load_bps(measurement: Measurement) -> float:
         return 0.0
     return (
         sum(probe.n_packets for probe in measurement.probes) * probe_size * 8 / duration
-    )
-
-
-def _reestimate_vectorized(
-    measurement: Measurement,
-    marking: Optional[MarkingConfig],
-    improved: Optional[bool],
-) -> BadabingResult:
-    """Array-batched twin of :func:`reestimate` (same bits, fewer objects)."""
-    from repro.core import batch
-    from repro.core.estimators import estimate_from_counter
-    from repro.core.marking import MarkingResult
-    from repro.core.validation import report_from_counter
-
-    arrays = measurement.probe_arrays()
-    starts, lengths = measurement.experiment_arrays()
-    pipeline = batch.run_slot_pipeline(
-        starts,
-        lengths,
-        arrays,
-        marking=marking if marking is not None else MarkingConfig(),
-        n_slots=measurement.n_slots,
-    )
-    marked = MarkingResult(
-        slot_states=pipeline.marking.slot_states_dict(),
-        marked_by_loss=pipeline.marking.marked_by_loss,
-        marked_by_delay=pipeline.marking.marked_by_delay,
-        noise_losses=pipeline.marking.noise_losses,
-        owd_max_estimates=pipeline.marking.owd_max_estimates,
-    )
-    outcomes = batch.materialize_outcomes(
-        pipeline.starts, pipeline.keys, pipeline.valid
-    )
-    estimate = estimate_from_counter(
-        pipeline.counter, improved=improved, coverage=pipeline.coverage
-    )
-    return BadabingResult(
-        estimate=estimate,
-        validation=report_from_counter(pipeline.counter, coverage=pipeline.coverage),
-        marking=marked,
-        probes=measurement.probes,
-        outcomes=outcomes,
-        n_probes_sent=len({probe.slot for probe in measurement.probes}),
-        probe_load_bps=_probe_load_bps(measurement),
-        slot_width=measurement.slot_width,
-        coverage=pipeline.coverage,
     )

@@ -66,18 +66,12 @@ class Simulator:
         self,
         seed: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        vectorized: bool = False,
     ):
         self._queue: List[_Event] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
         self.seed = seed
-        #: Simulator-wide default for the array-batched measurement pipeline
-        #: (:mod:`repro.core.batch`). Tools built on this simulator consult
-        #: it when not explicitly overridden; results are bit-identical
-        #: either way, so this only chooses the faster implementation.
-        self.vectorized = vectorized
         self._rngs: Dict[str, random.Random] = {}
         #: Metrics registry shared by every component built on this
         #: simulator. On by default (cheap); pass a

@@ -106,7 +106,6 @@ from repro.obs.profile import (
     PROFILE_SCHEMA,
     STAGE_BUCKETS,
     NullProfiler,
-    StackSampler,
     StageProfiler,
     active_profiler,
     merge_stage_maps,
@@ -219,7 +218,6 @@ __all__ = [
     "STAGE_BUCKETS",
     "StageProfiler",
     "NullProfiler",
-    "StackSampler",
     "active_profiler",
     "set_active_profiler",
     "profiling",

@@ -1,19 +1,14 @@
 """Deterministic stage profiler for the measurement pipeline.
 
-Two complementary modes, both zero-dependency:
-
-* **Scoped stage timers** (:class:`StageProfiler`): the pipeline's named
-  stages — ``schedule.generate``, ``sim.run``, ``queue.service``,
-  ``marking.apply``, ``estimator.fold``, ``validator.fold``,
-  ``wire.encode``/``wire.decode``, ``trace.io``, ``registry.merge`` —
-  carry lightweight monotonic-clock timers that attribute *self* time
-  (stage minus its children) and *cumulative* time (whole stage,
-  reentrancy-aware) per stage, bucket every call into a fixed-bound
-  histogram, and record parent→child edges for call-tree rendering.
-* **Interval sampling** (:class:`StackSampler`): a daemon thread
-  periodically walks the target thread's Python stack via
-  ``sys._current_frames`` and accumulates self/cumulative sample counts
-  per function — coverage for code no scoped timer instruments.
+Scoped stage timers (:class:`StageProfiler`), zero-dependency: the
+pipeline's named stages — ``schedule.generate``, ``sim.run``,
+``queue.service``, ``marking.apply``, ``estimator.fold``,
+``validator.fold``, ``wire.encode``/``wire.decode``, ``trace.io``,
+``registry.merge`` — carry lightweight monotonic-clock timers that
+attribute *self* time (stage minus its children) and *cumulative* time
+(whole stage, reentrancy-aware) per stage, bucket every call into a
+fixed-bound histogram, and record parent→child edges for call-tree
+rendering.
 
 Determinism contract (DESIGN.md §14): profiling must never perturb
 metric snapshot digests. A profiler keeps all of its wall-clock state on
@@ -33,8 +28,6 @@ lives in :mod:`repro.profiling` so hot modules can import it without the
 
 from __future__ import annotations
 
-import sys
-import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
@@ -533,107 +526,3 @@ def stages_from_registry(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
             slot["buckets"] = list(hist.get("buckets", slot["buckets"]))
             slot["sum_seconds"] = float(hist.get("sum", 0.0))
     return {name: stages[name] for name in sorted(stages)}
-
-
-class StackSampler:
-    """Interval stack sampler for un-instrumented code.
-
-    A daemon thread wakes every ``interval`` seconds, grabs the target
-    thread's current Python stack via ``sys._current_frames()``, and
-    counts, per ``module:function``, how often it was the executing leaf
-    (*self* samples) and how often it appeared anywhere on the stack
-    (*cumulative* samples, deduplicated per sample so recursion cannot
-    inflate them). Start/stop are lock-guarded and idempotent, so racing
-    callers (or a stop racing the sampling loop) are safe.
-    """
-
-    def __init__(self, interval: float = 0.005, max_depth: int = 64):
-        if interval <= 0:
-            raise ObservabilityError(
-                f"sampler interval must be positive, got {interval}"
-            )
-        self.interval = interval
-        self.max_depth = max_depth
-        self.samples = 0
-        self._functions: Dict[str, List[int]] = {}
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._target_id: Optional[int] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "StackSampler":
-        """Begin sampling the *calling* thread. Idempotent while running."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return self
-            self._target_id = threading.get_ident()
-            self._stop_event.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-stack-sampler", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> "StackSampler":
-        """Stop sampling and join the sampler thread. Idempotent."""
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            self._stop_event.set()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=2.0)
-        return self
-
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        target_id = self._target_id
-        while not self._stop_event.wait(self.interval):
-            frame = sys._current_frames().get(target_id)
-            if frame is None:
-                continue
-            self._record_stack(frame)
-
-    def _record_stack(self, frame) -> None:
-        self.samples += 1
-        seen = set()
-        depth = 0
-        leaf = True
-        while frame is not None and depth < self.max_depth:
-            name = (
-                f"{frame.f_globals.get('__name__', '?')}:"
-                f"{frame.f_code.co_name}"
-            )
-            slot = self._functions.get(name)
-            if slot is None:
-                slot = self._functions[name] = [0, 0]
-            if leaf:
-                slot[0] += 1
-                leaf = False
-            if name not in seen:
-                seen.add(name)
-                slot[1] += 1
-            frame = frame.f_back
-            depth += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Sample counts as a ``repro.obs.profile/1`` sampling document."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "enabled": True,
-            "mode": "sampling",
-            "interval": self.interval,
-            "samples": self.samples,
-            "functions": {
-                name: {"self": counts[0], "cum": counts[1]}
-                for name, counts in sorted(self._functions.items())
-            },
-        }

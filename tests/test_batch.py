@@ -1,12 +1,11 @@
-"""Scalar-vs-vectorized equivalence for the array-batched slot pipeline.
+"""Scalar-vs-batch equivalence for the array-batched slot pipeline.
 
 The contract (`repro.core.batch`): for identical inputs the batch pipeline
-produces the *same bits* as the scalar reference — the same experiments for
-the same seed (including the state the RNG is left in), the same marked
-slot states, the same pattern counter, the same estimates and coverage —
-so sweep scorecard and metrics digests are byte-identical between modes.
-Hypothesis drives random seeds, probe streams, and marking parameters at
-the pieces; an end-to-end sweep pins the digests.
+produces the *same bits* as the scalar reference stages — the same marked
+slot states, the same pattern counter, the same estimates and coverage.
+Offline re-estimation (`repro.io.reestimate`) runs the batch pipeline, so
+it is checked end to end against the explicit scalar chain. Hypothesis
+drives random seeds, probe streams, and marking parameters at the pieces.
 """
 
 import filecmp
@@ -20,18 +19,20 @@ np = pytest.importorskip("numpy")
 
 from repro.config import MarkingConfig
 from repro.core import batch
-from repro.core.estimators import count_patterns, estimate_from_counter
+from repro.core.estimators import (
+    count_patterns,
+    estimate_from_counter,
+    estimate_from_outcomes,
+)
 from repro.core.marking import CongestionMarker
 from repro.core.records import ProbeRecord
-from repro.core.schedule import Experiment, GeometricSchedule, coverage_report
-from repro.core.validation import SequentialValidator, report_from_counter
-from repro.experiments.runner import (
-    run_badabing,
-    scorecard_from_outcomes,
-    sweep_badabing,
+from repro.core.schedule import GeometricSchedule, coverage_report
+from repro.core.validation import (
+    SequentialValidator,
+    report_from_counter,
+    validate_outcomes,
 )
-from repro.obs.audit import scorecard_digest
-from repro.obs.metrics import MetricsRegistry, snapshot_digest
+from repro.experiments.runner import run_badabing
 
 
 def assert_same_estimate(a, b):
@@ -46,60 +47,6 @@ def assert_same_estimate(a, b):
     assert a.r_hat == b.r_hat
     assert a.improved == b.improved
     assert a.coverage == b.coverage
-
-# ---------------------------------------------------------------------------
-# Mirrored RNG
-# ---------------------------------------------------------------------------
-
-
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 500))
-@settings(max_examples=25, deadline=None)
-def test_mirrored_rng_matches_python_stream(seed, n):
-    rng = random.Random(seed)
-    twin = random.Random(seed)
-    expected = [twin.random() for _ in range(n)]
-    block = batch.random_block(rng, n)
-    assert block.tolist() == expected
-    # The source RNG was advanced past the block: the next scalar draws
-    # continue the stream exactly where a pure-Python consumer would be.
-    reference = random.Random(seed)
-    for _ in range(n):
-        reference.random()
-    assert rng.getstate() == reference.getstate()
-
-
-# ---------------------------------------------------------------------------
-# Schedule generation
-# ---------------------------------------------------------------------------
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    p=st.floats(0.01, 1.0, allow_nan=False),
-    improved=st.booleans(),
-    n_slots=st.integers(2, 300),
-)
-@settings(max_examples=60, deadline=None)
-def test_schedule_scalar_vs_vectorized(seed, p, improved, n_slots):
-    rng_a = random.Random(seed)
-    rng_b = random.Random(seed)
-    scalar = GeometricSchedule(p, n_slots, rng_a, improved=improved)
-    batched = GeometricSchedule(p, n_slots, rng_b, improved=improved, vectorized=True)
-    assert scalar.experiments == batched.experiments
-    assert scalar.probe_slots == batched.probe_slots
-    # Not just the same schedule: the same number of draws consumed, so
-    # downstream users of the shared RNG stay aligned across modes.
-    assert rng_a.getstate() == rng_b.getstate()
-
-
-def test_vectorized_schedule_exposes_arrays():
-    schedule = GeometricSchedule(0.4, 50, random.Random(9), improved=True, vectorized=True)
-    assert schedule.start_array is not None
-    assert schedule.start_array.tolist() == [e.start_slot for e in schedule.experiments]
-    assert schedule.length_array.tolist() == [e.length for e in schedule.experiments]
-    scalar = GeometricSchedule(0.4, 50, random.Random(9), improved=True)
-    assert scalar.start_array is None
-
 
 # ---------------------------------------------------------------------------
 # Probe streams → marking → fold
@@ -152,10 +99,10 @@ def marking_configs(draw):
 @settings(max_examples=80, deadline=None)
 def test_marking_scalar_vs_vectorized(stream, config):
     _n_slots, probes = stream
-    marker = CongestionMarker(config)
-    scalar = marker.mark(probes)
-    batched = marker.mark_arrays(batch.ProbeArrays.from_records(probes))
-    assert batched.slot_states == scalar.slot_states
+    scalar = CongestionMarker(config).mark(probes)
+    batched = batch.mark_probe_arrays(batch.ProbeArrays.from_records(probes), config)
+    slot_states = dict(zip([probe.slot for probe in probes], batched.states.tolist()))
+    assert slot_states == scalar.slot_states
     assert batched.marked_by_loss == scalar.marked_by_loss
     assert batched.marked_by_delay == scalar.marked_by_delay
     assert batched.noise_losses == scalar.noise_losses
@@ -188,7 +135,6 @@ def test_pipeline_counter_outcomes_coverage_match_scalar(
         lengths,
         batch.ProbeArrays.from_records(probes),
         marking=config,
-        n_slots=n_slots,
     )
     assert pipeline.counter == counter
     assert (
@@ -241,53 +187,8 @@ def test_counter_from_histogram_covers_every_pattern():
 
 
 # ---------------------------------------------------------------------------
-# End to end: identical results and digests
+# End to end: offline re-estimation against the scalar chain
 # ---------------------------------------------------------------------------
-
-
-def _run_cell(vectorized):
-    result, truth = run_badabing(
-        "episodic_cbr",
-        p=0.3,
-        n_slots=2500,
-        seed=11,
-        improved=True,
-        vectorized=vectorized,
-        scenario_kwargs={"mean_spacing": 2.0},
-    )
-    return result, truth
-
-
-def test_run_badabing_vectorized_equivalence():
-    scalar, truth_s = _run_cell(False)
-    batched, truth_v = _run_cell(True)
-    assert_same_estimate(scalar.estimate, batched.estimate)
-    assert scalar.validation == batched.validation
-    assert scalar.outcomes == batched.outcomes
-    assert scalar.coverage == batched.coverage
-    assert scalar.probes == batched.probes
-    assert scalar.marking.slot_states == batched.marking.slot_states
-    assert scalar.n_probes_sent == batched.n_probes_sent
-    assert truth_s.frequency == truth_v.frequency
-
-
-def _sweep_digests(vectorized):
-    metrics = MetricsRegistry()
-    outcomes = sweep_badabing(
-        [{"p": 0.3, "seed": 3}, {"p": 0.5, "seed": 4}],
-        metrics=metrics,
-        scenario="episodic_cbr",
-        n_slots=1200,
-        scenario_kwargs={"mean_spacing": 2.0},
-        vectorized=vectorized,
-    )
-    assert all(outcome.ok for outcome in outcomes)
-    scorecard = scorecard_from_outcomes(outcomes)
-    return scorecard_digest(scorecard), snapshot_digest(metrics.snapshot())
-
-
-def test_sweep_digests_identical_across_modes():
-    assert _sweep_digests(False) == _sweep_digests(True)
 
 
 def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
@@ -322,14 +223,19 @@ def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
     assert from_binary.probes == from_jsonl.probes
     assert from_binary.metadata == from_jsonl.metadata
 
-    scalar = reestimate(from_jsonl, vectorized=False)
-    batched = reestimate(from_binary, vectorized=True)
-    assert_same_estimate(batched.estimate, scalar.estimate)
-    assert batched.validation == scalar.validation
-    assert batched.outcomes == scalar.outcomes
-    assert batched.coverage == scalar.coverage
-    assert batched.marking.slot_states == scalar.marking.slot_states
-    assert batched.probe_load_bps == scalar.probe_load_bps
+    # The scalar reference chain, stage by stage.
+    marked = CongestionMarker().mark(from_jsonl.probes)
+    outcomes = from_jsonl.outcomes(marked.slot_states)
+    coverage = coverage_report(from_jsonl.experiments, marked.slot_states)
+    estimate = estimate_from_outcomes(outcomes, coverage=coverage)
+    validation = validate_outcomes(outcomes, coverage=coverage)
+    for loaded in (from_jsonl, from_binary):
+        batched = reestimate(loaded)
+        assert_same_estimate(batched.estimate, estimate)
+        assert batched.validation == validation
+        assert batched.outcomes == outcomes
+        assert batched.coverage == coverage
+        assert batched.marking == marked
 
     # Batched writes produce byte-identical trace files.
     one_by_one = tmp_path / "a.jsonl"
@@ -347,11 +253,3 @@ def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
     with TraceWriter(batched_path, *args) as writer:
         writer.write_probes(measurement.probes)
     assert filecmp.cmp(one_by_one, batched_path, shallow=False)
-
-
-def test_simulator_vectorized_flag_sets_tool_default():
-    from repro.net.simulator import Simulator
-
-    sim = Simulator(seed=1, vectorized=True)
-    assert sim.vectorized is True
-    assert Simulator(seed=1).vectorized is False

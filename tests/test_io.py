@@ -1,5 +1,6 @@
 """Tests for measurement trace persistence and offline re-analysis."""
 
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,39 @@ def test_measurement_outcomes_skip_unmarked_slots(finished_tool):
     measurement = measurement_from_tool(finished_tool)
     # Provide states for nothing: no outcomes can be assembled.
     assert measurement.outcomes({}) == []
+
+
+def _swap_two_probes(measurement):
+    probes = measurement.probes
+    probes[3], probes[4] = probes[4], probes[3]
+
+
+def _probe_past_window(measurement):
+    last = measurement.probes[-1]
+    measurement.probes[-1] = dataclasses.replace(last, slot=10**12)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_swap_two_probes, "sorted by send time"),
+        (_probe_past_window, "past its n_slots"),
+    ],
+    ids=["out-of-order", "slot-past-window"],
+)
+def test_malformed_trace_is_rejected(
+    finished_tool, tmp_path, capsys, corrupt, message
+):
+    from repro.cli import main
+
+    measurement = measurement_from_tool(finished_tool)
+    corrupt(measurement)
+    path = tmp_path / "malformed.jsonl"
+    save_measurement(path, measurement)
+    with pytest.raises(ConfigurationError, match=message):
+        reestimate(load_measurement(path))
+    assert main(["analyze", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_save_measurement_object_directly(finished_tool, tmp_path):

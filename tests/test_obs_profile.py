@@ -3,13 +3,10 @@
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
 reentrancy, zero-duration spans, exception unwinding, leaf records and
 accumulators, idempotent assignment-based publication into a registry,
-digest non-perturbation, and the sampling-mode start/stop races.
+and digest non-perturbation.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -20,7 +17,6 @@ from repro.obs.profile import (
     PROFILE_SCHEMA,
     STAGE_BUCKETS,
     NullProfiler,
-    StackSampler,
     StageProfiler,
     active_profiler,
     merge_stage_maps,
@@ -392,67 +388,6 @@ class TestDocuments:
         doc = NullProfiler().snapshot()
         assert doc["enabled"] is False
         assert doc["stages"] == {}
-
-
-class TestStackSampler:
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ObservabilityError):
-            StackSampler(interval=0.0)
-
-    def test_samples_current_thread(self):
-        sampler = StackSampler(interval=0.001)
-        with sampler:
-            deadline = time.monotonic() + 1.0
-            while sampler.snapshot()["samples"] == 0:
-                if time.monotonic() > deadline:
-                    break
-                sum(range(1000))
-        doc = sampler.snapshot()
-        assert doc["mode"] == "sampling"
-        assert doc["samples"] >= 1
-        assert doc["functions"]
-        for stats in doc["functions"].values():
-            assert stats["cum"] >= stats["self"] >= 0
-
-    def test_start_is_idempotent_and_stop_joins(self):
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        first_thread = sampler._thread
-        sampler.start()  # second start: no new thread
-        assert sampler._thread is first_thread
-        assert sampler.running
-        sampler.stop()
-        assert not sampler.running
-        sampler.stop()  # idempotent
-        assert not sampler.running
-
-    def test_concurrent_start_stop_races_do_not_wedge(self):
-        sampler = StackSampler(interval=0.0005)
-
-        def churn():
-            for _ in range(25):
-                sampler.start()
-                sampler.stop()
-
-        threads = [threading.Thread(target=churn) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        sampler.stop()
-        assert not sampler.running
-
-    def test_restart_accumulates(self):
-        sampler = StackSampler(interval=0.001)
-        sampler.start()
-        time.sleep(0.02)
-        sampler.stop()
-        first = sampler.snapshot()["samples"]
-        sampler.start()
-        time.sleep(0.02)
-        sampler.stop()
-        assert sampler.snapshot()["samples"] >= first
 
 
 class TestBucketContract:
