@@ -13,7 +13,16 @@
 * :mod:`repro.core.jitter` — probe launch-time jitter models (host realism),
 * :mod:`repro.core.clock` — backend-agnostic time sources (sim vs wall
   clock) plus clock offset/skew models and removal (§7).
+
+The simulated tools (adaptive, BADABING, ZING, PING-like) build on
+:mod:`repro.net` and :mod:`repro.traffic`, which sit above
+:mod:`repro.analysis`, :mod:`repro.obs` and the rest of this package. Their
+names resolve from here but load on first access, so importing any
+``repro.core`` module from a lower layer does not close an import cycle.
 """
+
+import importlib
+from typing import Any
 
 from repro.core.records import ExperimentOutcome, ProbeRecord
 from repro.core.schedule import GeometricSchedule
@@ -24,10 +33,6 @@ from repro.core.planning import MeasurementPlan, plan_measurement, required_p, r
 from repro.core.streaming import WindowedEstimator, WindowPoint, detect_level_shift
 from repro.core.uncertainty import BootstrapResult, bootstrap_estimates
 from repro.core.validation import ValidationReport, SequentialValidator
-from repro.core.adaptive import AdaptiveMeasurement, AdaptiveOutcome
-from repro.core.badabing import BadabingResult, BadabingTool
-from repro.core.zing import ZingResult, ZingTool
-from repro.core.pinglike import PingLikeTool
 from repro.core.jitter import GaussianJitter, NoJitter, SpikeJitter, UniformJitter
 from repro.core.clock import (
     AffineClock,
@@ -82,3 +87,23 @@ __all__ = [
     "rebase_probe_owds",
     "remove_skew",
 ]
+
+#: Simulated tools, by the submodule that defines them.
+_TOOLS = {
+    "AdaptiveMeasurement": "adaptive",
+    "AdaptiveOutcome": "adaptive",
+    "BadabingResult": "badabing",
+    "BadabingTool": "badabing",
+    "ZingResult": "zing",
+    "ZingTool": "zing",
+    "PingLikeTool": "pinglike",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _TOOLS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -23,12 +23,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, Optional, Union
 
-# repro.net's simulator/obs/analysis import cycle only resolves when
-# repro.core initializes first; entering through repro.net.faults directly
-# (as `import repro.live` otherwise would) hits the partially-initialized
-# simulator module.
-import repro.core  # noqa: F401
-
 from repro.net.faults import FaultProfile, FaultStats, resolve_fault_profile
 
 _HASH_DENOM = float(1 << 64)

@@ -17,9 +17,10 @@ tests" property hold in this reproduction.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
+from heapq import heappop, heappush
+from math import inf, isnan
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import profiling as _profiling
@@ -30,25 +31,24 @@ Callback = Callable[..., None]
 
 
 class _Event:
-    """A scheduled callback. Cancellation just flips a flag (lazy deletion)."""
+    """Handle for a scheduled callback. Cancellation just flips a flag (lazy
+    deletion): the heap entry stays queued and is skipped when popped."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callback, args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callback, args: Tuple[Any, ...]):
         self.callback = callback
         self.args = args
         self.cancelled = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once."""
         self.cancelled = True
+
+
+#: A heap entry. ``seq`` is unique, so ``heapq`` orders entries by comparing
+#: ``(time, seq)`` in C and never reaches the event.
+_Entry = Tuple[float, int, _Event]
 
 
 class Simulator:
@@ -67,7 +67,7 @@ class Simulator:
         seed: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self._queue: List[_Event] = []
+        self._queue: List[_Entry] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -130,21 +130,26 @@ class Simulator:
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callback, *args: Any) -> _Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> _Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        Every callback enters the queue here; :meth:`schedule` delegates to
+        this method.
+        """
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        self._seq += 1
-        event = _Event(time, self._seq, callback, args)
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self.heap_peak:
-            self.heap_peak = len(self._queue)
+        self._seq = seq = self._seq + 1
+        event = _Event(callback, args)
+        queue = self._queue
+        heappush(queue, (time, seq, event))
+        if len(queue) > self.heap_peak:
+            self.heap_peak = len(queue)
         return event
 
     # ------------------------------------------------------------------- run
@@ -158,12 +163,16 @@ class Simulator:
         Returns the number of events dispatched by this call. When the call
         stops because ``max_events`` was exhausted (with work still pending),
         :attr:`budget_exhausted` is set so callers can tell a completed run
-        from a truncated one.
+        from a truncated one. A NaN ``until`` raises :class:`SimulationError`.
         """
+        if until is not None and isnan(until):
+            raise SimulationError("run(until=nan): until must be a time or None")
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         self.budget_exhausted = False
+        horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
         queue = self._queue
         dispatched = 0
         cancelled = 0
@@ -171,19 +180,16 @@ class Simulator:
         prof_frame = prof.start("sim.run") if prof is not None else None
         wall_start = time.perf_counter()
         try:
-            while queue:
-                event = queue[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(queue)
+            while queue and queue[0][0] <= horizon:
+                when, _, event = heappop(queue)
                 if event.cancelled:
                     cancelled += 1
                     continue
-                self._now = event.time
+                self._now = when
                 event.callback(*event.args)
                 dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    self.budget_exhausted = self._has_runnable(until)
+                if dispatched >= budget:
+                    self.budget_exhausted = self._has_runnable(horizon)
                     break
         finally:
             self._running = False
@@ -196,16 +202,15 @@ class Simulator:
             self._now = until
         return dispatched
 
-    def _has_runnable(self, until: Optional[float]) -> bool:
-        """Whether any live event remains that this run() would still fire."""
+    def _has_runnable(self, horizon: float) -> bool:
+        """Whether any live event at or before ``horizon`` remains queued."""
         return any(
-            not event.cancelled and (until is None or event.time <= until)
-            for event in self._queue
+            not event.cancelled and when <= horizon for when, _, event in self._queue
         )
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
 
 def _stable_seed(master_seed: int, label: str) -> int:

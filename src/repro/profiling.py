@@ -4,7 +4,7 @@ This lives at the package root rather than inside :mod:`repro.obs`
 because the instrumented hot modules — the simulator event loop, link
 service, §6.1 marking, the §5 estimator fold, wire codecs — must be able
 to read the active profiler without importing ``repro.obs.__init__``,
-whose audit layer imports back into ``repro.core`` (an import cycle).
+whose audit layer imports ``repro.analysis`` and ``repro.core``.
 The real profiler implementation, documents, and CLI plumbing live in
 :mod:`repro.obs.profile`, which re-exports everything here; user code
 should import from there.

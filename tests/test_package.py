@@ -1,8 +1,14 @@
-"""Tests for package-level exports and the error hierarchy."""
+"""Tests for package-level exports, cold imports and the error hierarchy."""
+
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import repro
+import repro.net
 from repro import errors
 
 
@@ -90,3 +96,25 @@ def test_experiments_exports_resolve():
 
     for name in experiments.__all__:
         assert getattr(experiments, name) is not None
+
+
+
+_COLD_IMPORTS = [
+    "repro",
+    *(f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg),
+    *(f"repro.net.{info.name}" for info in pkgutil.iter_modules(repro.net.__path__)),
+]
+
+
+@pytest.mark.parametrize("module", _COLD_IMPORTS)
+def test_cold_import(module):
+    """Each module imports first in a fresh interpreter: no import cycle
+    depends on which module a program happens to load first."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,10 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.simulator import Simulator, _stable_seed
@@ -193,6 +197,25 @@ def test_budget_with_until_ignores_events_beyond_until():
     assert sim.now == 1.0
 
 
+def test_budget_not_exhausted_when_only_cancelled_events_remain():
+    sim = Simulator()
+    sim.schedule(0.1, lambda: None)
+    sim.schedule(0.2, lambda: None).cancel()
+    sim.run(until=1.0, max_events=1)
+    assert not sim.budget_exhausted
+    assert sim.now == 1.0
+
+
+def test_max_events_zero_still_dispatches_one_event():
+    sim = Simulator()
+    fired = []
+    for i in range(3):
+        sim.schedule(0.1 * (i + 1), fired.append, i)
+    assert sim.run(max_events=0) == 1
+    assert fired == [0]
+    assert sim.budget_exhausted
+
+
 def test_exhausted_run_does_not_jump_clock_past_pending_events():
     sim = Simulator()
     fired = []
@@ -204,3 +227,181 @@ def test_exhausted_run_does_not_jump_clock_past_pending_events():
     sim.run(until=1.0)
     assert fired == [1, 2]
     assert sim.now == 1.0
+
+
+# ---------------------------------------------------------------------------
+# NaN times
+# ---------------------------------------------------------------------------
+
+
+def test_nan_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    assert sim.pending() == 0
+
+
+def test_nan_time_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    assert sim.pending() == 0
+
+
+def test_nan_cannot_disturb_dispatch_order():
+    sim = Simulator()
+    order = []
+    for delay in (0.3, 0.1, 0.4, 0.2):
+        sim.schedule(delay, order.append, delay)
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, order.append, "nan")
+    sim.schedule(0.15, order.append, 0.15)
+    sim.run()
+    assert order == [0.1, 0.15, 0.2, 0.3, 0.4]
+    assert sim.now == 0.4
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, 1)
+    with pytest.raises(SimulationError):
+        sim.run(until=math.nan)
+    assert fired == [] and sim.now == 0.0
+    sim.run()  # the failed call left the simulator usable
+    assert fired == [1]
+
+
+# ---------------------------------------------------------------------------
+# Ordering contract: random programs against a reference model
+# ---------------------------------------------------------------------------
+#
+# Times are multiples of 0.25, so sums are exact and timestamps repeat often.
+# A scheduled event carries the actions it performs when it fires: schedule a
+# leaf event after a delay (often 0) or cancel the k-th handle made so far.
+
+_DELAYS = st.integers(0, 6).map(lambda quarter: quarter / 4)
+_ACTION = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+)
+_OP = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.lists(_ACTION, max_size=3)),
+    st.tuples(st.just("schedule_at"), _DELAYS, st.lists(_ACTION, max_size=3)),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.integers(0, 8).map(lambda quarter: quarter / 4)),
+        st.sampled_from([None, 0, 1, 2, 3, 7]),
+    ),
+)
+
+
+class _Model:
+    """The contract, written plainly: fire the live event with the least
+    ``(time, seq)`` that is at or before the horizon; cancelled entries stay
+    queued until popped."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.queue = []  # [time, seq, tag, cancelled]
+        self.handles = []
+        self.fired = []
+        self.dispatched = 0
+        self.cancelled = 0
+        self.heap_peak = 0
+        self.budget_exhausted = False
+
+    def schedule_at(self, time, tag):
+        self.seq += 1
+        entry = [time, self.seq, tag, False]
+        self.queue.append(entry)
+        self.handles.append(entry)
+        self.heap_peak = max(self.heap_peak, len(self.queue))
+
+    def cancel(self, index):
+        if self.handles:
+            self.handles[index % len(self.handles)][3] = True
+
+    def pending(self):
+        return sum(1 for entry in self.queue if not entry[3])
+
+    def run(self, until, max_events, actions):
+        horizon = math.inf if until is None else until
+        self.budget_exhausted = False
+        dispatched = 0
+        while True:
+            due = [entry for entry in self.queue if entry[0] <= horizon]
+            if not due:
+                break
+            entry = min(due, key=lambda item: (item[0], item[1]))
+            self.queue.remove(entry)
+            if entry[3]:
+                self.cancelled += 1
+                continue
+            self.now = entry[0]
+            self.fired.append(entry[2])
+            for kind, arg in actions.get(entry[2], ()):
+                if kind == "schedule":
+                    self.schedule_at(self.now + arg, ("leaf", len(self.handles)))
+                else:
+                    self.cancel(arg)
+            dispatched += 1
+            if max_events is not None and dispatched >= max_events:
+                self.budget_exhausted = any(
+                    not item[3] and item[0] <= horizon for item in self.queue
+                )
+                break
+        if until is not None and self.now < until and not self.budget_exhausted:
+            self.now = until
+        self.dispatched += dispatched
+        return dispatched
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=st.lists(_OP, max_size=40))
+def test_dispatch_matches_reference_model(program):
+    sim, model = Simulator(), _Model()
+    handles, fired, actions = [], [], {}
+
+    def fire(tag):
+        fired.append(tag)
+        for kind, arg in actions.get(tag, ()):
+            if kind == "schedule":
+                handles.append(sim.schedule(arg, fire, ("leaf", len(handles))))
+            elif handles:
+                handles[arg % len(handles)].cancel()
+
+    def run_both(until, max_events):
+        assert sim.run(until=until, max_events=max_events) == model.run(
+            until, max_events, actions
+        )
+        assert fired == model.fired
+        assert sim.events_processed == model.dispatched
+        assert sim.metrics.counter("sim.events_cancelled").value == model.cancelled
+        assert sim.pending() == model.pending()
+        assert sim.heap_peak == model.heap_peak
+        assert sim.budget_exhausted == model.budget_exhausted
+        assert sim.now == model.now
+
+    for step, op in enumerate(program):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            _, delay, acts = op
+            tag = ("op", step)
+            actions[tag] = acts
+            if kind == "schedule":
+                handles.append(sim.schedule(delay, fire, tag))
+            else:
+                handles.append(sim.schedule_at(sim.now + delay, fire, tag))
+            model.schedule_at(model.now + delay, tag)
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+            model.cancel(op[1])
+        else:
+            _, offset, max_events = op
+            run_both(None if offset is None else model.now + offset, max_events)
+    run_both(None, None)
+    assert sim.pending() == 0
