@@ -5,10 +5,10 @@ process-parallel sweep, live loopback — with sizes pinned *in the suite
 definition* (independent of ``REPRO_PROFILE``), so successive
 ``BENCH_<suite>.json`` documents are comparable points on one perf
 trajectory. Every scenario runs under a fresh
-:class:`~repro.obs.profile.StageProfiler`; the parallel-sweep scenario
-additionally profiles inside the worker shards
-(``sweep_badabing(profiled=True)``) and recovers their stage stats from
-the merged registry's published ``profile.*`` instruments.
+:class:`~repro.obs.profile.StageProfiler`; in the parallel-sweep
+scenario each worker profiles its cell and the sweep absorbs the stage
+stats into that profiler, so worker stages and call edges land in the
+same document.
 
 Wall-clock numbers here are measurement artifacts, not simulation state:
 nothing this module records ever enters a monitored registry's snapshot,
@@ -20,23 +20,22 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
 from repro.errors import ConfigurationError
+from repro.experiments.runner import (
+    run_badabing,
+    run_badabing_multihop,
+    sweep_badabing,
+)
 from repro.obs.bench import make_bench_document
 from repro.obs.manifest import config_digest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    StageProfiler,
-    merge_stage_maps,
-    stages_from_registry,
-)
+from repro.obs.profile import StageProfiler
 from repro.profiling import profiling
-
-#: Scenario kinds the suite runner knows how to execute.
-_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {}
 
 
 @dataclass(frozen=True)
@@ -126,46 +125,19 @@ SUITES: Dict[str, Tuple[BenchScenario, ...]] = {
 }
 
 
-def _scenario_runner(kind: str):
-    def _register(fn):
-        _RUNNERS[kind] = fn
-        return fn
-
-    return _register
-
-
-@_scenario_runner("single_cell")
-def _run_single_cell(**kwargs) -> Dict[str, Any]:
-    from repro.experiments.runner import run_badabing
-
+def _run_cell(run: Callable[..., Any], **kwargs) -> Dict[str, Any]:
+    """One simulated cell (``run_badabing`` or its multihop twin)."""
     registry = MetricsRegistry()
-    result, _truth = run_badabing(metrics=registry, **kwargs)
+    result, _truth = run(metrics=registry, **kwargs)
     return {
         "events_processed": int(registry.counter("sim.events_processed").value),
         "probes_sent": int(result.n_probes_sent),
     }
 
 
-@_scenario_runner("multihop")
-def _run_multihop(**kwargs) -> Dict[str, Any]:
-    from repro.experiments.runner import run_badabing_multihop
-
-    registry = MetricsRegistry()
-    result, _truth = run_badabing_multihop(metrics=registry, **kwargs)
-    return {
-        "events_processed": int(registry.counter("sim.events_processed").value),
-        "probes_sent": int(result.n_probes_sent),
-    }
-
-
-@_scenario_runner("parallel_sweep")
 def _run_parallel_sweep(cells, workers=2, **common) -> Dict[str, Any]:
-    from repro.experiments.runner import sweep_badabing
-
     registry = MetricsRegistry()
-    outcomes = sweep_badabing(
-        cells, metrics=registry, workers=workers, profiled=True, **common
-    )
+    outcomes = sweep_badabing(cells, metrics=registry, workers=workers, **common)
     failed = [o.label for o in outcomes if not o.ok]
     if failed:
         raise ConfigurationError(
@@ -179,14 +151,9 @@ def _run_parallel_sweep(cells, workers=2, **common) -> Dict[str, Any]:
         "probes_sent": sum(
             o.result.n_probes_sent for o in outcomes if o.ok
         ),
-        # Worker-shard stage stats come back through the merged registry's
-        # published profile.* instruments (the merge itself is profiled on
-        # the parent's profiler).
-        "worker_stages": stages_from_registry(snapshot),
     }
 
 
-@_scenario_runner("live_loopback")
 def _run_live_loopback(p=0.3, n_slots=500, slot=0.005, seed=1) -> Dict[str, Any]:
     from repro.live.runtime import live_loopback
 
@@ -211,6 +178,15 @@ def _run_live_loopback(p=0.3, n_slots=500, slot=0.005, seed=1) -> Dict[str, Any]
     }
 
 
+#: Scenario kinds the suite runner knows how to execute.
+_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "single_cell": partial(_run_cell, run_badabing),
+    "multihop": partial(_run_cell, run_badabing_multihop),
+    "parallel_sweep": _run_parallel_sweep,
+    "live_loopback": _run_live_loopback,
+}
+
+
 def run_scenario(scenario: BenchScenario) -> Dict[str, Any]:
     """Execute one scenario under a fresh profiler; returns its entry."""
     runner = _RUNNERS.get(scenario.kind)
@@ -221,16 +197,12 @@ def run_scenario(scenario: BenchScenario) -> Dict[str, Any]:
     with profiling(profiler):
         extra = runner(**scenario.kwargs)
     wall = time.perf_counter() - started
-    stages = profiler.stages()
-    worker_stages = extra.pop("worker_stages", None)
-    if worker_stages:
-        stages = merge_stage_maps(stages, worker_stages)
     entry: Dict[str, Any] = {
         "wall_seconds": wall,
         "config_digest": config_digest(
             {"name": scenario.name, "kind": scenario.kind, **scenario.kwargs}
         ),
-        "stages": stages,
+        "stages": profiler.stages(),
         "edges": profiler.edges(),
     }
     entry.update(extra)

@@ -1,25 +1,16 @@
-"""Process-parallel sweep engine: spawn-safe cells, deterministic merge.
+"""Process pool for sweeps: submit, wait under the deadline, contain crashes.
 
 The paper's headline tables and figures are grids of runs over
 ``(p, duration, scenario, seed)`` cells, each cell an independent seeded
-simulation — embarrassingly parallel work that :func:`~repro.experiments.runner.sweep_badabing`
-used to execute serially. This module dispatches prepared cells to a
-``ProcessPoolExecutor`` and re-assembles the results so that the parallel
-sweep is **byte-identical** to the serial one on the same seeds:
-
-* every cell runs under its *own* fresh
-  :class:`~repro.obs.metrics.MetricsRegistry` and (when tracing) its own
-  :class:`~repro.obs.tracing.Tracer` shard inside the worker — no shared
-  mutable state crosses a process boundary during the run;
-* the parent merges the per-cell registries with
-  :meth:`MetricsRegistry.merge` and absorbs the trace shards **in cell
-  order**, regardless of completion order, so the merged snapshot is a
-  pure function of the cell list and seeds (the serial path performs the
-  exact same per-cell-registry + ordered-merge dance);
-* outcomes come back as the same ordered
-  :class:`~repro.experiments.runner.RunOutcome` list serial produces, so
-  :func:`~repro.experiments.runner.scorecard_from_outcomes` digests
-  identically over either.
+simulation. :func:`~repro.experiments.runner.sweep_badabing` with
+``workers`` > 1 hands its prepared cells to :func:`execute_parallel_sweep`,
+which runs :func:`~repro.experiments.runner.run_cell` — the same cell
+function a serial sweep calls in-process — in a ``ProcessPoolExecutor``
+and hands every result to the sweep's finish step **in cell order**,
+regardless of completion order. Everything that decides what a sweep
+records lives in the runner and is shared by both modes, so the parallel
+sweep is byte-identical to the serial one on the same seeds; this module
+holds only the pool mechanics.
 
 Failure containment mirrors the protected-run philosophy: a worker that
 dies *hard* (``BrokenProcessPool`` from a segfault/``os._exit``/OOM-kill,
@@ -31,7 +22,7 @@ have not started yet and reports them as budget-exhausted; in-flight
 cells are never interrupted (matching
 :class:`~repro.experiments.runner.RunBudget.max_wall_seconds` semantics).
 
-The worker entry point lives at module top level and payloads are plain
+The worker entry point is a top-level function and payloads are plain
 picklable dataclasses, so the engine is safe under the ``spawn`` start
 method (the only one that is fork-safety-proof across platforms).
 """
@@ -39,155 +30,27 @@ method (the only one that is fork-safety-proof across platforms).
 from __future__ import annotations
 
 import time
-import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor
-from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.tracing import Tracer, trace_span
-from repro.profiling import profiling
+from repro.experiments.runner import (
+    CellPayload,
+    CellResult,
+    RunOutcome,
+    deadline_outcome,
+    failed_outcome,
+    run_cell,
+)
 
 #: How many times one cell may be the observed victim of a broken pool
 #: before it is permanently failed. Two lets an *innocent* cell that was
 #: merely co-resident with a crashing one get a fresh chance, while a
 #: cell that reliably kills its worker converges to a structured failure.
 MAX_POOL_BREAK_BLAME = 2
-
-#: Registry construction modes a payload can request (mirrors what the
-#: serial path injects for the same parent-registry state).
-METRICS_FRESH = "fresh"
-METRICS_NULL = "null"
-METRICS_NONE = "none"
-
-
-@dataclass(frozen=True)
-class CellPayload:
-    """Everything a worker needs to run one sweep cell, picklable.
-
-    ``runner`` is an importable top-level callable (``None`` means
-    :func:`~repro.experiments.runner.run_badabing`); ``kwargs`` must not
-    contain live objects (``metrics``/``tracer``/``keep``) — the caller
-    validates that before building payloads.
-    """
-
-    index: int
-    label: str
-    seed: int
-    kwargs: Dict[str, Any]
-    budget: Optional[Any] = None
-    metrics_mode: str = METRICS_NONE
-    with_tracer: bool = False
-    #: When True (and the cell registry is live), the worker runs its cell
-    #: under a :class:`~repro.obs.profile.StageProfiler` and publishes the
-    #: stage stats as ``profile.*`` instruments on the cell registry, so
-    #: the parent's ordered ``merge(series_labels=)`` aggregates them
-    #: across shards (bench suites only — published stage timings are
-    #: wall-clock, so profiled registries are not digest-deterministic).
-    with_profiler: bool = False
-    runner: Optional[Callable[..., Any]] = None
-
-
-@dataclass
-class CellResult:
-    """What a worker sends back: the outcome plus its observability shards."""
-
-    index: int
-    outcome: Any
-    registry: Optional[MetricsRegistry] = None
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-
-
-def run_cell(payload: CellPayload) -> CellResult:
-    """Worker entry point: run one protected cell in a child process.
-
-    Builds the cell's private registry/tracer, runs the protected cell
-    exactly as the serial path would, then detaches the registry's
-    collectors (they close over the finished simulator and cannot be
-    pickled) so the result is a plain data bundle.
-    """
-    from repro.experiments import runner as _runner
-
-    fn = payload.runner if payload.runner is not None else _runner.run_badabing
-    registry: Optional[MetricsRegistry] = None
-    if payload.metrics_mode == METRICS_FRESH:
-        registry = MetricsRegistry()
-    elif payload.metrics_mode == METRICS_NULL:
-        registry = NullRegistry()
-    kwargs = dict(payload.kwargs)
-    if registry is not None and _runner.accepts_kwarg(fn, "metrics"):
-        kwargs["metrics"] = registry
-    tracer = (
-        Tracer(shard="sweep-worker", cell=payload.label)
-        if payload.with_tracer
-        else None
-    )
-    profiler = None
-    if payload.with_profiler and registry is not None and registry.enabled:
-        from repro.obs.profile import StageProfiler
-
-        profiler = StageProfiler()
-    scope = profiling(profiler) if profiler is not None else nullcontext()
-    with trace_span(tracer, "sweep.cell", label=payload.label, seed=payload.seed):
-        with scope:
-            outcome = _runner.run_protected(
-                fn,
-                label=payload.label,
-                seed=payload.seed,
-                budget=payload.budget,
-                **kwargs,
-            )
-    if profiler is not None:
-        profiler.publish(registry)
-    if registry is not None:
-        registry.detach_collectors()
-    return CellResult(
-        index=payload.index,
-        outcome=outcome,
-        registry=registry if payload.metrics_mode == METRICS_FRESH else None,
-        spans=list(tracer.spans) if tracer is not None else [],
-    )
-
-
-def _crash_outcome(payload: CellPayload, exc: BaseException, elapsed: float) -> Any:
-    """A structured failed RunOutcome for a cell whose worker died hard."""
-    from repro.experiments.runner import RunOutcome
-
-    return RunOutcome(
-        label=payload.label,
-        ok=False,
-        error=str(exc) or type(exc).__name__,
-        error_type=type(exc).__name__,
-        error_traceback="".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-        attempts=1,
-        seeds=(payload.seed,),
-        elapsed_seconds=elapsed,
-    )
-
-
-def deadline_outcome(label: str, max_wall_seconds: float) -> Any:
-    """A budget-exhausted RunOutcome for a cell skipped at the deadline."""
-    from repro.experiments.runner import RunOutcome
-
-    return RunOutcome(
-        label=label,
-        ok=False,
-        error=(
-            f"sweep wall-clock deadline ({max_wall_seconds}s) reached "
-            "before this cell started"
-        ),
-        error_type="BudgetExhaustedError",
-        budget_exhausted=True,
-        attempts=0,
-        seeds=(),
-    )
 
 
 def _await_cell(future, deadline: Optional[float]) -> Tuple[str, Any]:
@@ -219,27 +82,24 @@ def _await_cell(future, deadline: Optional[float]) -> Tuple[str, Any]:
 def execute_parallel_sweep(
     payloads: Sequence[CellPayload],
     workers: int,
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     max_wall_seconds: Optional[float] = None,
-    exporter=None,
-) -> List[Any]:
-    """Run prepared cells across ``workers`` processes; merge in cell order.
+    finish: Optional[Callable[[CellPayload, CellResult], RunOutcome]] = None,
+) -> List[RunOutcome]:
+    """Run prepared cells across ``workers`` processes, finishing in cell order.
 
-    Returns one ``RunOutcome`` per payload, in payload order. Per-cell
-    registries are merged into ``metrics`` and trace shards absorbed into
-    ``tracer`` strictly in cell order as each cell is finalized, so the
-    parent's merged state is independent of completion order.
-
-    ``exporter`` (when given) emits one ``kind="progress"`` snapshot per
-    finalized cell; the record envelope carries the cell label and status
-    while the metrics snapshot stays exactly the registry's merged state.
+    Returns one ``RunOutcome`` per payload, in payload order. Each cell's
+    :class:`~repro.experiments.runner.CellResult` — the worker's, or a
+    stand-in carrying a crash or deadline outcome — goes to
+    ``finish(payload, cell)`` strictly in cell order, and ``finish``
+    returns the outcome to report; without ``finish`` the cell's outcome
+    is reported as is.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     started = time.monotonic()
     deadline = started + max_wall_seconds if max_wall_seconds is not None else None
-    outcomes: List[Any] = [None] * len(payloads)
+    results: List[Optional[CellResult]] = [None] * len(payloads)
+    outcomes: List[RunOutcome] = []
     blame: Dict[int, int] = {}
     context = get_context("spawn")
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
@@ -249,7 +109,7 @@ def execute_parallel_sweep(
         }
         deadline_swept = False
         for payload in payloads:
-            while outcomes[payload.index] is None:
+            while results[payload.index] is None:
                 if (
                     deadline is not None
                     and not deadline_swept
@@ -264,17 +124,10 @@ def execute_parallel_sweep(
                     deadline_swept = True
                 status, value = _await_cell(futures[payload.index], deadline)
                 if status == "ok":
-                    cell: CellResult = value
-                    if metrics is not None and cell.registry is not None:
-                        metrics.merge(
-                            cell.registry, series_labels={"cell": payload.label}
-                        )
-                    if tracer is not None and cell.spans:
-                        tracer.absorb(cell.spans)
-                    outcomes[payload.index] = cell.outcome
+                    results[payload.index] = value
                 elif status == "deadline":
-                    outcomes[payload.index] = deadline_outcome(
-                        payload.label, max_wall_seconds
+                    results[payload.index] = CellResult(
+                        deadline_outcome(payload.label, max_wall_seconds)
                     )
                 elif isinstance(value, BrokenProcessPool):
                     # The pool died under some worker; we can only observe it
@@ -283,28 +136,29 @@ def execute_parallel_sweep(
                     # innocent co-resident cells still complete.
                     blame[payload.index] = blame.get(payload.index, 0) + 1
                     if blame[payload.index] >= MAX_POOL_BREAK_BLAME:
-                        outcomes[payload.index] = _crash_outcome(
-                            payload, value, time.monotonic() - started
-                        )
+                        results[payload.index] = _crash_result(payload, value, started)
                     pool, futures = _rebuild_pool(
-                        pool, context, workers, payloads, futures, outcomes
+                        pool, context, workers, payloads, futures, results
                     )
                     deadline_swept = False  # resubmitted cells need the sweep too
                 else:
-                    outcomes[payload.index] = _crash_outcome(
-                        payload, value, time.monotonic() - started
-                    )
-            if exporter is not None:
-                outcome = outcomes[payload.index]
-                status = "ok" if outcome.ok else (
-                    "budget_exhausted" if outcome.budget_exhausted else "failed"
-                )
-                exporter.export_now(
-                    kind="progress", cell=payload.label, status=status
-                )
+                    results[payload.index] = _crash_result(payload, value, started)
+            cell = results[payload.index]
+            outcomes.append(cell.outcome if finish is None else finish(payload, cell))
     finally:
         pool.shutdown(wait=False)
     return outcomes
+
+
+def _crash_result(
+    payload: CellPayload, exc: BaseException, started: float
+) -> CellResult:
+    """A failed cell whose worker died hard: one attempt, no shards."""
+    return CellResult(
+        failed_outcome(
+            payload.label, exc, (payload.seed,), time.monotonic() - started
+        )
+    )
 
 
 def _rebuild_pool(
@@ -313,18 +167,18 @@ def _rebuild_pool(
     workers: int,
     payloads: Sequence[CellPayload],
     futures: Dict[int, Any],
-    outcomes: List[Any],
+    results: List[Optional[CellResult]],
 ):
     """Replace a broken pool; resubmit every cell still owed a result.
 
     Cells whose futures already completed successfully keep their results;
-    cells already finalized into ``outcomes`` are skipped.
+    cells already finalized into ``results`` are skipped.
     """
     pool.shutdown(wait=False)
     fresh = ProcessPoolExecutor(max_workers=workers, mp_context=context)
     rebuilt = dict(futures)
     for payload in payloads:
-        if outcomes[payload.index] is not None:
+        if results[payload.index] is not None:
             continue
         future = futures[payload.index]
         if future.done() and not future.cancelled() and future.exception() is None:

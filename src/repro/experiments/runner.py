@@ -18,7 +18,8 @@ from __future__ import annotations
 import inspect
 import time
 import traceback
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from math import sqrt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -47,8 +48,10 @@ from repro.obs.audit import (
     scorecard_from_runs,
 )
 from repro.obs.manifest import RunManifest, config_digest, summarize_snapshot
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.profile import StageProfiler
 from repro.obs.tracing import Tracer, trace_span
+from repro.profiling import active_profiler, profiling
 
 #: Extra simulated time after the measurement window so in-flight packets
 #: drain and the tools' logs are complete.
@@ -538,8 +541,8 @@ class RunBudget:
         Soft wall-clock budget across attempts: once exceeded, no further
         retries are made (the in-flight attempt is never interrupted).
     retry_on:
-        Exception types that trigger a retry; anything else derived from
-        :class:`~repro.errors.ReproError` is captured without retrying.
+        Exception types that trigger a retry; any other exception is
+        captured without retrying.
     """
 
     max_events: Optional[int] = None
@@ -644,6 +647,12 @@ def run_protected(
     budget's ``max_events`` is forwarded automatically when ``fn`` accepts
     that kwarg (all built-in runners do); a runner without it simply runs
     unbudgeted rather than crashing the cell with a ``TypeError``.
+
+    Any :class:`Exception` the runner raises — a structured
+    :class:`~repro.errors.ReproError` or a plain bug such as a
+    ``TypeError`` from a bad cell kwarg — becomes a failed outcome with
+    its type, message and traceback; only ``budget.retry_on`` types are
+    retried.
     """
     budget = budget if budget is not None else RunBudget()
     if (
@@ -670,7 +679,7 @@ def run_protected(
                 seeds=tuple(seeds),
                 elapsed_seconds=time.monotonic() - started,
             )
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 — a crashing cell becomes data
             last_error = exc
             if isinstance(exc, BudgetExhaustedError):
                 budget_exhausted = True
@@ -681,34 +690,170 @@ def run_protected(
                 and time.monotonic() - started >= budget.max_wall_seconds
             ):
                 break
+    return failed_outcome(
+        label,
+        last_error,
+        seeds,
+        time.monotonic() - started,
+        budget_exhausted=budget_exhausted,
+    )
+
+
+def failed_outcome(
+    label: str,
+    exc: BaseException,
+    seeds: Sequence[int],
+    elapsed_seconds: float,
+    budget_exhausted: bool = False,
+) -> RunOutcome:
+    """A failed :class:`RunOutcome` carrying ``exc``'s type, message and
+    traceback, one attempt per seed tried."""
     return RunOutcome(
         label=label,
         ok=False,
-        error=str(last_error),
-        error_type=type(last_error).__name__,
+        error=str(exc) or type(exc).__name__,
+        error_type=type(exc).__name__,
         error_traceback="".join(
-            traceback.format_exception(
-                type(last_error), last_error, last_error.__traceback__
-            )
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
         ),
         attempts=len(seeds),
         seeds=tuple(seeds),
         budget_exhausted=budget_exhausted,
-        elapsed_seconds=time.monotonic() - started,
+        elapsed_seconds=elapsed_seconds,
+    )
+
+
+def deadline_outcome(label: str, max_wall_seconds: float) -> RunOutcome:
+    """A budget-exhausted RunOutcome for a cell skipped at the deadline."""
+    return RunOutcome(
+        label=label,
+        ok=False,
+        error=(
+            f"sweep wall-clock deadline ({max_wall_seconds}s) reached "
+            "before this cell started"
+        ),
+        error_type="BudgetExhaustedError",
+        budget_exhausted=True,
+        attempts=0,
+        seeds=(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: one cell path, in-process or in a pool worker
+# ---------------------------------------------------------------------------
+
+#: Cell-registry modes, chosen from the sweep registry's state: a fresh
+#: registry merged back under ``cell=<label>``, a disabled one, or none.
+METRICS_FRESH = "fresh"
+METRICS_NULL = "null"
+METRICS_NONE = "none"
+
+
+@dataclass(frozen=True)
+class CellPayload:
+    """Everything one sweep cell needs; picklable when ``kwargs`` is.
+
+    ``runner`` is an importable top-level callable; ``None`` means
+    :func:`run_badabing`, looked up when the cell runs. ``with_tracer``
+    and ``with_profiler`` ask a pool worker to record a trace shard and a
+    stage profile and send them back as data; a cell run in-process needs
+    neither, because it records straight into the sweep's tracer and the
+    active profiler. Only in-process cells may carry live objects
+    (``keep``/``metrics``/``tracer``) in ``kwargs``.
+    """
+
+    index: int
+    label: str
+    seed: int
+    kwargs: Dict[str, Any]
+    budget: Optional[RunBudget] = None
+    metrics_mode: str = METRICS_NONE
+    with_tracer: bool = False
+    with_profiler: bool = False
+    runner: Optional[Callable[..., Any]] = None
+
+
+@dataclass
+class CellResult:
+    """One finished cell: its outcome plus the shards the sweep folds in."""
+
+    outcome: RunOutcome
+    registry: Optional[MetricsRegistry] = None
+    spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: The worker's :meth:`~repro.obs.profile.StageProfiler.snapshot`.
+    profile: Optional[Dict[str, Any]] = None
+
+
+def run_cell(payload: CellPayload, tracer: Optional[Tracer] = None) -> CellResult:
+    """Run one protected sweep cell — in-process, or as the pool worker.
+
+    Builds the cell's private registry, opens the ``sweep.cell`` span on
+    ``tracer`` (the sweep's own, in-process) or on a shard tracer (in a
+    worker), runs :func:`run_protected`, and bakes the registry's
+    collectors in: they close over the finished simulator, which can
+    neither be pickled nor kept alive after the cell.
+    """
+    fn = payload.runner if payload.runner is not None else run_badabing
+    registry: Optional[MetricsRegistry] = None
+    if payload.metrics_mode == METRICS_FRESH:
+        registry = MetricsRegistry()
+    elif payload.metrics_mode == METRICS_NULL:
+        registry = NullRegistry()
+    kwargs = payload.kwargs
+    if registry is not None and accepts_kwarg(fn, "metrics"):
+        kwargs = dict(kwargs, metrics=registry)
+    shard = (
+        Tracer(shard="sweep-worker", cell=payload.label)
+        if payload.with_tracer
+        else None
+    )
+    profiler = StageProfiler() if payload.with_profiler else None
+    with trace_span(
+        tracer if tracer is not None else shard,
+        "sweep.cell",
+        label=payload.label,
+        seed=payload.seed,
+    ):
+        with profiling(profiler) if profiler is not None else nullcontext():
+            outcome = run_protected(
+                fn,
+                label=payload.label,
+                seed=payload.seed,
+                budget=payload.budget,
+                **kwargs,
+            )
+    if registry is not None:
+        registry.detach_collectors()
+    return CellResult(
+        outcome=outcome,
+        registry=registry,
+        spans=list(shard.spans) if shard is not None else [],
+        profile=profiler.snapshot() if profiler is not None else None,
     )
 
 
 def _prepare_cells(
-    cells: Sequence[Dict[str, Any]], common: Dict[str, Any]
-) -> List[Tuple[int, str, int, Dict[str, Any]]]:
-    """Resolve every cell to ``(index, label, seed, kwargs)``.
+    cells: Sequence[Dict[str, Any]],
+    common: Dict[str, Any],
+    budget: Optional[RunBudget],
+    metrics: Optional[MetricsRegistry],
+    tracer: Optional[Tracer],
+    pooled: bool,
+) -> List[CellPayload]:
+    """Resolve every cell to a :class:`CellPayload`.
 
     ``common`` supplies shared kwargs (cells win on conflict). A ``label``
     given per cell is used verbatim; a label inherited from ``common`` is
     suffixed with the cell index — otherwise every row of the sweep's
-    outcome list and scorecard would collide on one name.
+    outcome list and scorecard would collide on one name. A cell that
+    brings its own ``metrics`` registry records into it, not into a cell
+    registry of the sweep's. ``pooled`` cells must be picklable, and ask
+    for the trace and profile shards their worker has to send back.
     """
-    prepared: List[Tuple[int, str, int, Dict[str, Any]]] = []
+    with_tracer = pooled and tracer is not None
+    with_profiler = pooled and active_profiler() is not None
+    payloads: List[CellPayload] = []
     for index, cell in enumerate(cells):
         merged = dict(common, **cell)
         merged.pop("label", None)
@@ -719,26 +864,69 @@ def _prepare_cells(
         else:
             label = _cell_label(index, merged)
         seed = merged.pop("seed", 1)
-        prepared.append((index, label, seed, merged))
-    return prepared
+        live = sorted(k for k in ("metrics", "tracer", "keep") if k in merged)
+        if pooled and live:
+            raise ConfigurationError(
+                f"cell {label!r}: per-cell {'/'.join(live)} objects cannot "
+                "cross a process boundary; drop them or run with workers=1"
+            )
+        if metrics is None or "metrics" in merged:
+            mode = METRICS_NONE
+        elif metrics.enabled:
+            mode = METRICS_FRESH
+        else:
+            mode = METRICS_NULL
+        payloads.append(
+            CellPayload(
+                index=index,
+                label=label,
+                seed=seed,
+                kwargs=merged,
+                budget=budget,
+                metrics_mode=mode,
+                with_tracer=with_tracer,
+                with_profiler=with_profiler,
+            )
+        )
+    return payloads
 
 
-def _outcome_status(outcome: RunOutcome) -> str:
+def _finish_cell(
+    payload: CellPayload,
+    cell: CellResult,
+    metrics: Optional[MetricsRegistry],
+    tracer: Optional[Tracer],
+    exporter,
+) -> RunOutcome:
+    """Fold one finished cell into the sweep; called in cell order.
+
+    Merges the cell registry under ``cell=<label>``, absorbs the trace
+    shard and the worker's stage profile, counts the cell, then emits the
+    progress record — so a progress record is a pure function of the
+    cells finished so far, in either mode.
+    """
+    outcome = cell.outcome
+    if metrics is not None and cell.registry is not None:
+        metrics.merge(cell.registry, series_labels={"cell": payload.label})
+    if tracer is not None and cell.spans:
+        tracer.absorb(cell.spans)
+    profiler = active_profiler()
+    if profiler is not None and cell.profile is not None:
+        profiler.absorb(cell.profile)
     if outcome.ok:
-        return "ok"
-    return "budget_exhausted" if outcome.budget_exhausted else "failed"
-
-
-def _record_sweep_metrics(
-    metrics: Optional[MetricsRegistry], outcome: RunOutcome
-) -> None:
-    """Sweep-level per-cell telemetry, recorded registry-side in cell order."""
-    if metrics is None or not metrics.enabled:
-        return
-    metrics.counter("sweep.cells", status=_outcome_status(outcome)).inc()
-    metrics.counter("sweep.retries").inc(max(0, outcome.attempts - 1))
-    if not outcome.ok:
-        metrics.counter("sweep.degraded_cells").inc()
+        status = "ok"
+    elif outcome.budget_exhausted:
+        status = "budget_exhausted"
+    else:
+        status = "failed"
+    if metrics is not None and metrics.enabled:
+        metrics.counter("sweep.cells", status=status).inc()
+        metrics.counter("sweep.retries").inc(max(0, outcome.attempts - 1))
+        if not outcome.ok:
+            metrics.counter("sweep.degraded_cells").inc()
+    if exporter is not None:
+        exporter.export_now(kind="progress", cell=payload.label, status=status)
+    return outcome
 
 
 def sweep_badabing(
@@ -749,7 +937,6 @@ def sweep_badabing(
     workers: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
     exporter=None,
-    profiled: bool = False,
     **common: Any,
 ) -> List[RunOutcome]:
     """Run a whole grid of BADABING cells, never dying on one of them.
@@ -760,14 +947,16 @@ def sweep_badabing(
     budget-exhausted cells come back as structured failures, so a table
     sweep always produces its full shape.
 
-    ``workers`` > 1 dispatches cells to a spawn-based process pool (see
-    :mod:`repro.experiments.parallel`). Each cell runs under its own
-    registry and trace shard — in *both* modes — and the shards are merged
-    into ``metrics``/``tracer`` strictly in cell order, so the parallel
-    sweep's outcome list, merged metrics snapshot, and scorecard are
-    byte-identical to the serial run on the same seeds. A worker that dies
-    hard (segfault, OOM-kill, unpicklable result) becomes a structured
-    failed outcome for its cell instead of killing the sweep.
+    Serial and ``workers`` > 1 sweeps run each cell through the same
+    :func:`run_cell` and fold it in through the same finish step, in
+    cell order. ``workers`` > 1 runs the cells in a spawn-based process
+    pool (see :mod:`repro.experiments.parallel`), so the parallel sweep's
+    outcome list, merged metrics snapshot, scorecard and progress records
+    are byte-identical to the serial run on the same seeds. A worker that
+    dies hard (segfault, OOM-kill, unpicklable result) becomes a
+    structured failed outcome for its cell instead of killing the sweep.
+    Only a serial sweep may pass live per-cell objects (``keep``,
+    ``metrics``, ``tracer``) through to its cells.
 
     ``max_wall_seconds`` is a sweep-level deadline: cells that have not
     started when it expires are skipped and reported as budget-exhausted
@@ -780,111 +969,38 @@ def sweep_badabing(
 
     ``exporter`` (a :class:`~repro.obs.export.TelemetryExporter` over the
     same ``metrics`` registry) gets one ``kind="progress"`` snapshot per
-    finalized cell — in both serial and parallel modes — so a long grid
-    streams per-cell progress instead of going dark until it returns.
-    Progress records live in the export envelope only; they never touch
-    the registry, so serial-vs-parallel digest equivalence is unaffected.
+    finalized cell, so a long grid streams per-cell progress instead of
+    going dark until it returns.
 
-    ``profiled`` runs every cell under its own
-    :class:`~repro.obs.profile.StageProfiler` and publishes the stage
-    stats as ``profile.*`` instruments on the cell registry before the
-    ordered merge — identically in serial and parallel modes, so the
-    aggregated stage *call counts* still match across modes (stage
-    *seconds* are wall-clock and machine-dependent). Bench suites only:
-    a profiled registry's snapshot digest is no longer seed-deterministic.
+    The cells are profiled exactly when a profiler is active at the call:
+    in-process cells run under it, and each pool worker profiles its cell
+    and sends the stage stats back for the active profiler to absorb.
+    Profiling never touches a metrics registry.
     """
-    prepared = _prepare_cells(cells, common)
-    if workers is not None and workers > 1:
-        from repro.experiments.parallel import CellPayload, execute_parallel_sweep
+    pooled = workers is not None and workers > 1
+    payloads = _prepare_cells(cells, common, budget, metrics, tracer, pooled)
 
-        payloads = []
-        for index, label, seed, merged in prepared:
-            live = sorted(k for k in ("metrics", "tracer", "keep") if k in merged)
-            if live:
-                raise ConfigurationError(
-                    f"cell {label!r}: per-cell {'/'.join(live)} objects cannot "
-                    "cross a process boundary; drop them or run with workers=1"
-                )
-            if metrics is None:
-                mode = "none"
-            elif metrics.enabled:
-                mode = "fresh"
-            else:
-                mode = "null"
-            payloads.append(
-                CellPayload(
-                    index=index,
-                    label=label,
-                    seed=seed,
-                    kwargs=merged,
-                    budget=budget,
-                    metrics_mode=mode,
-                    with_tracer=tracer is not None,
-                    with_profiler=profiled,
-                )
-            )
-        outcomes = execute_parallel_sweep(
-            payloads,
-            workers=workers,
-            metrics=metrics,
-            tracer=tracer,
-            max_wall_seconds=max_wall_seconds,
-            exporter=exporter,
+    def finish(payload: CellPayload, cell: CellResult) -> RunOutcome:
+        return _finish_cell(payload, cell, metrics, tracer, exporter)
+
+    if pooled:
+        from repro.experiments.parallel import execute_parallel_sweep
+
+        return execute_parallel_sweep(
+            payloads, workers, max_wall_seconds=max_wall_seconds, finish=finish
         )
-        for outcome in outcomes:
-            _record_sweep_metrics(metrics, outcome)
-        return outcomes
 
     outcomes: List[RunOutcome] = []
     started = time.monotonic()
-    for index, label, seed, merged in prepared:
+    for payload in payloads:
         if (
             max_wall_seconds is not None
             and time.monotonic() - started >= max_wall_seconds
         ):
-            from repro.experiments.parallel import deadline_outcome
-
-            outcome = deadline_outcome(label, max_wall_seconds)
+            cell = CellResult(deadline_outcome(payload.label, max_wall_seconds))
         else:
-            cell_registry: Optional[MetricsRegistry] = None
-            if metrics is not None and "metrics" not in merged:
-                # Each cell gets a private registry merged back in cell
-                # order — the same dance the parallel engine does — so
-                # serial and parallel sweeps aggregate identically.
-                from repro.obs.metrics import NullRegistry
-
-                cell_registry = MetricsRegistry() if metrics.enabled else NullRegistry()
-                merged = dict(merged, metrics=cell_registry)
-            cell_profiler = None
-            if profiled and cell_registry is not None and cell_registry.enabled:
-                from repro.obs.profile import StageProfiler
-                from repro.profiling import profiling as profiling_scope
-
-                cell_profiler = StageProfiler()
-            with trace_span(tracer, "sweep.cell", label=label, seed=seed):
-                if cell_profiler is not None:
-                    with profiling_scope(cell_profiler):
-                        outcome = run_protected(
-                            run_badabing,
-                            label=label,
-                            seed=seed,
-                            budget=budget,
-                            **merged,
-                        )
-                else:
-                    outcome = run_protected(
-                        run_badabing, label=label, seed=seed, budget=budget, **merged
-                    )
-            if cell_profiler is not None:
-                cell_profiler.publish(cell_registry)
-            if cell_registry is not None and metrics is not None:
-                metrics.merge(cell_registry, series_labels={"cell": label})
-        outcomes.append(outcome)
-        _record_sweep_metrics(metrics, outcome)
-        if exporter is not None:
-            exporter.export_now(
-                kind="progress", cell=label, status=_outcome_status(outcome)
-            )
+            cell = run_cell(payload, tracer)
+        outcomes.append(finish(payload, cell))
     return outcomes
 
 

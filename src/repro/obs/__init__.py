@@ -108,11 +108,9 @@ from repro.obs.profile import (
     NullProfiler,
     StageProfiler,
     active_profiler,
-    merge_stage_maps,
     profile_stage,
     profiling,
     set_active_profiler,
-    stages_from_registry,
 )
 from repro.obs.schema import (
     METRICS_SCHEMA,
@@ -222,8 +220,6 @@ __all__ = [
     "set_active_profiler",
     "profiling",
     "profile_stage",
-    "merge_stage_maps",
-    "stages_from_registry",
     "BenchRecorder",
     "environment_fingerprint",
     "peak_rss_bytes",

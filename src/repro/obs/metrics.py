@@ -138,28 +138,6 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    def load(self, counts, total: float) -> None:
-        """Overwrite state with externally-aggregated bucket counts.
-
-        The *assignment* counterpart of :meth:`observe`, for collectors
-        that publish a histogram kept elsewhere (the stage profiler's
-        per-stage timings): replaying observations from a collector
-        would add them again on every collect/snapshot/merge cycle,
-        whereas loading the full state is idempotent — the fix that lets
-        profiler histograms survive repeated exporter scrapes and
-        ``MetricsRegistry.merge`` across sweep shards without
-        double-counting.
-        """
-        if len(counts) != len(self.counts):
-            raise ObservabilityError(
-                f"histogram {self.name!r}: cannot load {len(counts)} bucket "
-                f"counts into {len(self.counts)} buckets"
-            )
-        self.counts = [int(n) for n in counts]
-        self.count = sum(self.counts)
-        self.sum = float(total)
-        self._merged_sums = []
-
     def sum_terms(self) -> List[float]:
         """Every sum contribution this histogram holds (local + merged)."""
         return [self.sum] + self._merged_sums

@@ -12,13 +12,10 @@ rendering.
 
 Determinism contract (DESIGN.md §14): profiling must never perturb
 metric snapshot digests. A profiler keeps all of its wall-clock state on
-*itself*; it only touches a :class:`~repro.obs.metrics.MetricsRegistry`
-when :meth:`StageProfiler.publish` is called explicitly (bench shards
-use this to ride the existing ``merge(series_labels=)`` aggregation),
-and publication is **assignment-based** — the registered collector
-overwrites ``profile.*`` instruments with the profiler's totals instead
-of replaying observations, so repeated collect/snapshot/merge cycles
-(exporter scrapes, shard merges) can never double-count.
+*itself* and never touches a :class:`~repro.obs.metrics.MetricsRegistry`.
+Stage stats cross process boundaries as data: a sweep worker returns its
+profiler's :meth:`StageProfiler.snapshot` and the parent folds it in with
+:meth:`StageProfiler.absorb`.
 
 The process-global activation plumbing (:data:`~repro.profiling.ACTIVE`,
 :func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`)
@@ -31,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import ObservabilityError
 from repro.profiling import (  # noqa: F401  (re-exported API surface)
@@ -338,7 +335,7 @@ class StageProfiler:
         """Fold another profiler's :meth:`snapshot` into this one.
 
         Counters and histogram buckets add; ``max_seconds`` takes the
-        max — the same semantics registry merge gives the published form.
+        max.
         """
         for name, stage in snapshot.get("stages", {}).items():
             stat = self._stats.get(name)
@@ -365,48 +362,6 @@ class StageProfiler:
                 slot = self._edges[key] = [0, 0.0]
             slot[0] += int(edge.get("calls", 0))
             slot[1] += float(edge.get("cum_seconds", 0.0))
-
-    # ----------------------------------------------------------- publication
-    def publish(self, registry) -> None:
-        """Expose stage stats as ``profile.*`` instruments on ``registry``.
-
-        Registers a pull-collector that *assigns* the profiler's current
-        totals — ``profile.stage_calls``/``profile.stage_self_seconds``/
-        ``profile.stage_cum_seconds`` counters, a ``profile.stage_seconds``
-        histogram loaded wholesale via :meth:`~repro.obs.metrics.Histogram.load`,
-        and a ``profile.stage_max_seconds`` gauge sampled to the peak.
-        Assignment makes collection idempotent: an exporter scraping the
-        registry mid-run, a ``detach_collectors()`` bake, and the
-        ``merge()``-triggered collect all observe the same totals exactly
-        once, so shard histograms survive
-        ``MetricsRegistry.merge(series_labels=...)`` without
-        double-counting. No-op on disabled registries.
-
-        Note this intentionally writes *wall-clock* data into the
-        registry, which breaks the snapshot's seed-determinism — callers
-        opt in per registry (bench shards only); default pipelines never
-        publish.
-        """
-        if not registry.enabled:
-            return
-        registry.add_collector(self._collect_into)
-
-    def _collect_into(self, registry) -> None:
-        self._flush_leaves()
-        for name, stat in self._stats.items():
-            registry.counter("profile.stage_calls", stage=name).value = stat.calls
-            registry.counter(
-                "profile.stage_self_seconds", stage=name
-            ).value = stat.self_seconds
-            registry.counter(
-                "profile.stage_cum_seconds", stage=name
-            ).value = stat.cum_seconds
-            registry.gauge("profile.stage_max_seconds", stage=name).sample(
-                stat.max_seconds
-            )
-            registry.histogram(
-                "profile.stage_seconds", buckets=STAGE_BUCKETS, stage=name
-            ).load(stat.counts, stat.sum_seconds)
 
 
 class NullProfiler:
@@ -453,76 +408,3 @@ class NullProfiler:
 
     def absorb(self, snapshot: Dict[str, Any]) -> None:
         pass
-
-    def publish(self, registry) -> None:
-        pass
-
-
-def merge_stage_maps(
-    base: Dict[str, Dict[str, Any]], other: Dict[str, Dict[str, Any]]
-) -> Dict[str, Dict[str, Any]]:
-    """Merge two ``stages`` maps (snapshot/:func:`stages_from_registry`
-    shaped) with add/max semantics; neither input is mutated."""
-    combined = StageProfiler()
-    combined.absorb({"stages": base, "edges": []})
-    combined.absorb({"stages": other, "edges": []})
-    return combined.stages()
-
-
-def stages_from_registry(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Reconstruct a ``stages`` map from published ``profile.*`` metrics.
-
-    The inverse of :meth:`StageProfiler.publish` over a (possibly merged)
-    registry snapshot — how the bench suite recovers worker-side stage
-    stats after a parallel sweep folded its shards together. Edges are
-    not published, so the result carries timing stats only.
-    """
-    from repro.obs.export import parse_key
-
-    stages: Dict[str, Dict[str, Any]] = {}
-
-    def _slot(labels: Dict[str, str]) -> Optional[Dict[str, Any]]:
-        stage = labels.get("stage")
-        if stage is None:
-            return None
-        slot = stages.get(stage)
-        if slot is None:
-            slot = stages[stage] = {
-                "calls": 0,
-                "self_seconds": 0.0,
-                "cum_seconds": 0.0,
-                "max_seconds": 0.0,
-                "sum_seconds": 0.0,
-                "buckets": list(STAGE_BUCKETS),
-                "counts": [0] * (len(STAGE_BUCKETS) + 1),
-            }
-        return slot
-
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = parse_key(key)
-        slot = _slot(labels)
-        if slot is None:
-            continue
-        if name == "profile.stage_calls":
-            slot["calls"] = int(value)
-        elif name == "profile.stage_self_seconds":
-            slot["self_seconds"] = float(value)
-        elif name == "profile.stage_cum_seconds":
-            slot["cum_seconds"] = float(value)
-    for key, gauge in snapshot.get("gauges", {}).items():
-        name, labels = parse_key(key)
-        if name != "profile.stage_max_seconds":
-            continue
-        slot = _slot(labels)
-        if slot is not None:
-            slot["max_seconds"] = float(gauge.get("peak", gauge.get("value", 0.0)))
-    for key, hist in snapshot.get("histograms", {}).items():
-        name, labels = parse_key(key)
-        if name != "profile.stage_seconds":
-            continue
-        slot = _slot(labels)
-        if slot is not None:
-            slot["counts"] = [int(n) for n in hist.get("counts", slot["counts"])]
-            slot["buckets"] = list(hist.get("buckets", slot["buckets"]))
-            slot["sum_seconds"] = float(hist.get("sum", 0.0))
-    return {name: stages[name] for name in sorted(stages)}

@@ -229,6 +229,13 @@ class TestSmokeSuite:
         missing = required - covered
         assert not missing, f"stages never profiled: {sorted(missing)}"
 
+    def test_parallel_sweep_absorbs_worker_call_edges(self, smoke_document):
+        sweep = smoke_document["scenarios"]["parallel_sweep"]
+        edges = {(edge["parent"], edge["stage"]) for edge in sweep["edges"]}
+        assert ("", "sim.run") in edges
+        assert ("sim.run", "queue.service") in edges
+        assert sweep["stages"]["sim.run"]["calls"] == 2  # one per worker cell
+
     def test_scenarios_have_throughput(self, smoke_document):
         for name, scenario in smoke_document["scenarios"].items():
             assert scenario["wall_seconds"] > 0, name

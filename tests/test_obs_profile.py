@@ -1,9 +1,8 @@
-"""Stage profiler unit tests: timing semantics, edge cases, publication.
+"""Stage profiler unit tests: timing semantics, edge cases, documents.
 
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
 reentrancy, zero-duration spans, exception unwinding, leaf records and
-accumulators, idempotent assignment-based publication into a registry,
-and digest non-perturbation.
+accumulators, snapshot/absorb round trips, and digest non-perturbation.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, NullRegistry, snapshot_digest
+from repro.obs.metrics import MetricsRegistry, snapshot_digest
 from repro.obs.profile import (
     PIPELINE_STAGES,
     PROFILE_SCHEMA,
@@ -19,11 +18,9 @@ from repro.obs.profile import (
     NullProfiler,
     StageProfiler,
     active_profiler,
-    merge_stage_maps,
     profile_stage,
     profiling,
     set_active_profiler,
-    stages_from_registry,
 )
 
 
@@ -237,67 +234,6 @@ class TestActivation:
 
 
 class TestPublication:
-    def _profiler_with_data(self):
-        clock = FakeClock(step=1.0)
-        prof = StageProfiler(clock=clock)
-        with prof.stage("sim.run"):
-            prof.record("queue.service", 0.5)
-        return prof
-
-    def test_publish_assigns_profile_instruments(self):
-        prof = self._profiler_with_data()
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        snapshot = registry.snapshot()
-        calls = {
-            key: value
-            for key, value in snapshot["counters"].items()
-            if key.startswith("profile.stage_calls")
-        }
-        assert calls == {
-            "profile.stage_calls{stage=queue.service}": 1,
-            "profile.stage_calls{stage=sim.run}": 1,
-        }
-        hists = [
-            key
-            for key in snapshot["histograms"]
-            if key.startswith("profile.stage_seconds")
-        ]
-        assert len(hists) == 2
-
-    def test_repeated_snapshots_do_not_double_count(self):
-        # The satellite fix: publication is assignment-based, so exporter
-        # scrapes (collect/snapshot cycles) can never inflate the totals.
-        prof = self._profiler_with_data()
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        first = registry.snapshot()
-        for _ in range(3):
-            registry.collect()
-        again = registry.snapshot()
-        assert first == again
-
-    def test_published_histograms_survive_merge_without_double_count(self):
-        prof = self._profiler_with_data()
-        shard = MetricsRegistry()
-        prof.publish(shard)
-        parent = MetricsRegistry()
-        parent.merge(shard.detach_collectors(), series_labels={"cell": "c0"})
-        merged = parent.snapshot()
-        hist = merged["histograms"]["profile.stage_seconds{stage=queue.service}"]
-        assert hist["count"] == 1
-        assert sum(hist["counts"]) == 1
-        # Snapshotting the parent again is stable too.
-        assert parent.snapshot() == merged
-
-    def test_publish_into_null_registry_is_noop(self):
-        prof = self._profiler_with_data()
-        registry = NullRegistry()
-        prof.publish(registry)
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "series": {},
-        }
-
     def test_active_profiler_never_perturbs_registry_digest(self):
         def run(profiler):
             registry = MetricsRegistry()
@@ -359,30 +295,27 @@ class TestDocuments:
             prof.absorb(bad)
 
     def test_merge_stage_maps_adds_and_maxes(self):
+        # Absorbing two snapshots merges their stage maps: totals and
+        # buckets add, max_seconds takes the max.
         a = StageProfiler(clock=FakeClock())
         with a.stage("s"):
             pass
         b = StageProfiler(clock=FakeClock(step=2.0))
         with b.stage("s"):
             pass
-        merged = merge_stage_maps(a.stages(), b.stages())
-        assert merged["s"]["calls"] == 2
-        assert merged["s"]["max_seconds"] == 2.0
-
-    def test_stages_from_registry_roundtrip(self):
-        prof = StageProfiler(clock=FakeClock())
-        with prof.stage("sim.run"):
-            prof.record("queue.service", 0.5)
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        recovered = stages_from_registry(registry.snapshot())
-        original = prof.stages()
-        for name in ("sim.run", "queue.service"):
-            assert recovered[name]["calls"] == original[name]["calls"]
-            assert recovered[name]["self_seconds"] == pytest.approx(
-                original[name]["self_seconds"]
-            )
-            assert recovered[name]["counts"] == original[name]["counts"]
+        merged = StageProfiler()
+        merged.absorb(a.snapshot())
+        merged.absorb(b.snapshot())
+        stage = merged.stages()["s"]
+        assert stage["calls"] == 2
+        assert stage["self_seconds"] == 3.0
+        assert stage["max_seconds"] == 2.0
+        assert stage["counts"] == [
+            x + y for x, y in zip(a.stages()["s"]["counts"], b.stages()["s"]["counts"])
+        ]
+        assert merged.edges() == [
+            {"parent": "", "stage": "s", "calls": 2, "cum_seconds": 3.0}
+        ]
 
     def test_null_profiler_snapshot_disabled(self):
         doc = NullProfiler().snapshot()

@@ -2,8 +2,9 @@
 
 The determinism contract under test: ``sweep_badabing(cells, workers=N)``
 must produce the same ordered outcome list, the same merged metrics
-snapshot, and the same scorecard digest as the serial sweep on the same
-cells and seeds — and a worker that dies hard must surface as a
+snapshot, the same scorecard digest, the same progress records and the
+same profiled stage counts as the serial sweep on the same cells and
+seeds — and a crashing cell or a worker that dies hard must surface as a
 structured failed ``RunOutcome`` instead of killing the sweep.
 
 The crash runners live at module top level so the ``spawn`` start method
@@ -15,18 +16,18 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import (
-    CellPayload,
-    deadline_outcome,
-    execute_parallel_sweep,
-)
+from repro.experiments.parallel import execute_parallel_sweep
 from repro.experiments.runner import (
+    CellPayload,
     RunBudget,
+    deadline_outcome,
     scorecard_from_outcomes,
     sweep_badabing,
 )
 from repro.obs.audit import scorecard_digest
+from repro.obs.export import TelemetryExporter, read_export_records
 from repro.obs.metrics import MetricsRegistry, snapshot_digest
+from repro.obs.profile import StageProfiler, profiling
 from repro.obs.tracing import Tracer
 
 CELL = dict(
@@ -223,64 +224,131 @@ class TestSweepMetricsTelemetry:
         assert counters["sweep.degraded_cells"] == 1
 
 
+class TestProgressRecords:
+    def _records(self, tmp_path, workers):
+        registry = MetricsRegistry()
+        path = tmp_path / f"export-{workers}.ndjson"
+        exporter = TelemetryExporter(registry, path=path)
+        try:
+            outcomes = sweep_badabing(
+                [{"p": 0.3, "seed": 1}, {"p": 0.5, "seed": 1}, {"p": 0.3, "seed": 2}],
+                metrics=registry,
+                workers=workers,
+                exporter=exporter,
+                **CELL,
+            )
+        finally:
+            exporter.close()
+        assert all(o.ok for o in outcomes)
+        return [
+            (record["kind"], record["context"], record["digest"])
+            for record in read_export_records(path)
+        ]
+
+    def test_progress_records_identical_serial_vs_parallel(self, tmp_path):
+        serial = self._records(tmp_path, None)
+        assert [kind for kind, _, _ in serial] == ["progress"] * 3 + ["final"]
+        assert self._records(tmp_path, 2) == serial
+
+
+class TestCellExceptionContainment:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_cell_raising_a_plain_exception_fails_alone(self, workers):
+        outcomes = sweep_badabing(
+            [{"p": 0.3}, {"p": 0.5, "bogus": 1}, {"p": 0.7}],
+            budget=RunBudget(max_attempts=3),
+            workers=workers,
+            **CELL,
+        )
+        assert [o.ok for o in outcomes] == [True, False, True]
+        failed = outcomes[1]
+        assert failed.error_type == "TypeError"
+        assert "bogus" in failed.error
+        assert "TypeError" in failed.error_traceback
+        assert failed.attempts == 1  # TypeError is not in retry_on
+        assert not failed.budget_exhausted
+
+
+class TestSerialLiveObjects:
+    def test_serial_cells_pass_live_objects_through(self):
+        keep = {}
+        cell_registry = MetricsRegistry()
+        cell_tracer = Tracer()
+        sweep_registry = MetricsRegistry()
+        sweep_tracer = Tracer()
+        outcomes = sweep_badabing(
+            [
+                {
+                    "p": 0.3,
+                    "seed": 1,
+                    "keep": keep,
+                    "metrics": cell_registry,
+                    "tracer": cell_tracer,
+                },
+                {"p": 0.3, "seed": 2},
+            ],
+            metrics=sweep_registry,
+            tracer=sweep_tracer,
+            **CELL,
+        )
+        assert all(o.ok for o in outcomes)
+        assert {"sim", "testbed", "tool", "traffic"} <= set(keep)
+        assert keep["sim"].metrics is cell_registry
+        assert (
+            cell_registry.snapshot()["counters"]["sim.events_processed"]
+            == keep["sim"].events_processed
+        )
+        assert "sim.run" in {span["name"] for span in cell_tracer.spans}
+        # The sweep registry merges the second cell's registry only; the
+        # first cell contributes nothing but its sweep.* counts.
+        alone = MetricsRegistry()
+        sweep_badabing([{"p": 0.3, "seed": 2}], metrics=alone, **CELL)
+        assert sweep_registry.snapshot()["counters"]["sim.events_processed"] == (
+            alone.snapshot()["counters"]["sim.events_processed"]
+        )
+        assert sweep_registry.snapshot()["counters"]["sweep.cells{status=ok}"] == 2
+        # In-process cell spans land straight on the sweep tracer's epoch.
+        first, second = [s for s in sweep_tracer.spans if s["name"] == "sweep.cell"]
+        assert second["t0"] >= first["t0"] + first["dur"]
+        assert "sim.run" not in {span["name"] for span in sweep_tracer.spans}
+
+
 class TestProfiledSweep:
-    """Satellite regression: published profile.* instruments must survive
-    merge(series_labels=) across shards deterministically and without
-    double-counting."""
+    """A sweep profiles its cells exactly when a profiler is active at the
+    call; pool workers send their stage stats back as data, and no
+    registry ever holds profile.* instruments."""
 
     CELLS = [{"p": 0.3, "seed": 1}, {"p": 0.5, "seed": 2}]
 
-    def _profiled_sweep(self, workers):
+    def _sweep(self, workers, profiler=None):
         registry = MetricsRegistry()
-        outcomes = sweep_badabing(
-            self.CELLS, metrics=registry, workers=workers, profiled=True, **CELL
-        )
+        with profiling(profiler):
+            outcomes = sweep_badabing(
+                self.CELLS, metrics=registry, workers=workers, **CELL
+            )
         assert all(o.ok for o in outcomes)
-        return registry
+        return registry.snapshot()
 
     def test_profiled_stage_calls_identical_serial_vs_parallel(self):
-        serial = self._profiled_sweep(None).snapshot()["counters"]
-        parallel = self._profiled_sweep(2).snapshot()["counters"]
-        serial_calls = {
-            key: value
-            for key, value in serial.items()
-            if key.startswith("profile.stage_calls")
-        }
-        assert serial_calls, "profiled sweep published no stage stats"
-        parallel_calls = {
-            key: value
-            for key, value in parallel.items()
-            if key.startswith("profile.stage_calls")
-        }
+        calls = {}
+        for workers in (None, 2):
+            profiler = StageProfiler()
+            self._sweep(workers, profiler)
+            calls[workers] = {
+                name: stage["calls"] for name, stage in profiler.stages().items()
+            }
+        assert calls[None]["sim.run"] == len(self.CELLS)
+        assert calls[None]["queue.service"] > 0
         # Stage call counts are a pure function of the cell seeds (the
-        # stride-sampled queue.service counter included), so the merged
-        # totals must be byte-identical serial vs parallel.
-        assert serial_calls == parallel_calls
+        # stride-sampled queue.service counter included).
+        assert calls[2] == calls[None]
 
-    def test_profiled_histograms_survive_merge_without_double_count(self):
-        registry = self._profiled_sweep(2)
-        first = registry.snapshot()
-        hists = {
-            key: value
-            for key, value in first["histograms"].items()
-            if key.startswith("profile.stage_seconds")
-        }
-        assert hists
-        calls = first["counters"]
-        for key, hist in hists.items():
-            stage_label = key.split("{", 1)[1]
-            assert sum(hist["counts"]) == hist["count"]
-            # Histogram count equals the published call counter for the
-            # same stage: one observation per call, not N per scrape.
-            assert hist["count"] == calls[f"profile.stage_calls{{{stage_label}"]
-        # Repeated snapshots (exporter scrapes) stay byte-identical.
-        assert registry.snapshot() == first
-
-    def test_unprofiled_sweep_publishes_no_profile_instruments(self):
-        registry = MetricsRegistry()
-        outcomes = sweep_badabing(
-            self.CELLS, metrics=registry, workers=2, **CELL
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_profiling_leaves_the_snapshot_digest_unchanged(self, workers):
+        profiled = self._sweep(workers, StageProfiler())
+        assert not any(
+            key.startswith("profile.")
+            for section in profiled.values()
+            for key in section
         )
-        assert all(o.ok for o in outcomes)
-        counters = registry.snapshot()["counters"]
-        assert not any(key.startswith("profile.") for key in counters)
+        assert snapshot_digest(profiled) == snapshot_digest(self._sweep(workers))

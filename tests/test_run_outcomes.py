@@ -76,6 +76,25 @@ def test_non_retryable_error_is_captured_without_retry():
     assert outcome.error_traceback and "EstimationError" in outcome.error_traceback
 
 
+def test_plain_exception_is_captured_and_retried_only_when_listed():
+    calls = []
+
+    def buggy(seed):
+        calls.append(seed)
+        raise ValueError("not a ReproError")
+
+    outcome = run_protected(buggy, label="bug", seed=1, budget=RunBudget(max_attempts=3))
+    assert outcome.failed and not outcome.budget_exhausted
+    assert outcome.error_type == "ValueError"
+    assert outcome.error == "not a ReproError"
+    assert "ValueError" in outcome.error_traceback
+    assert outcome.attempts == 1 and len(calls) == 1
+    retried = run_protected(
+        buggy, label="bug", seed=1, budget=RunBudget(max_attempts=3, retry_on=(ValueError,))
+    )
+    assert retried.attempts == 3
+
+
 def test_retry_recovers_from_transient_simulation_error():
     calls = []
 
