@@ -51,7 +51,9 @@ class TestbedConfig:
     red: bool = False
 
     def __post_init__(self) -> None:
-        if self.bottleneck_bps <= 0 or self.access_bps <= 0:
+        # NaN fails every ordered comparison, so `x <= 0` would let it
+        # through; `not x > 0` and `not x >= 0` reject it.
+        if not (self.bottleneck_bps > 0 and self.access_bps > 0):
             raise ConfigurationError("link rates must be positive")
         if self.access_bps < self.bottleneck_bps:
             raise ConfigurationError(
@@ -59,8 +61,12 @@ class TestbedConfig:
                 "(otherwise loss moves off the bottleneck and ground truth "
                 "instrumentation misses it)"
             )
-        if self.buffer_time <= 0:
+        if not self.buffer_time > 0:
             raise ConfigurationError("buffer_time must be positive")
+        for name in ("prop_delay", "access_delay"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigurationError(f"{name} must be non-negative, got {value}")
         if self.n_traffic_pairs < 1:
             raise ConfigurationError("need at least one traffic pair")
         if self.mtu < 64:
@@ -147,7 +153,7 @@ class MarkingConfig:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ConfigurationError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.tau < 0:
+        if not self.tau >= 0:  # also rejects NaN, which would disable the rule
             raise ConfigurationError(f"tau must be non-negative, got {self.tau}")
         if self.owd_history < 1:
             raise ConfigurationError("owd_history must be >= 1")

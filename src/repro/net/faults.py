@@ -115,7 +115,7 @@ class FaultProfile:
             "flap_start",
         ):
             value = getattr(self, name)
-            if value < 0:
+            if not value >= 0:  # also rejects NaN
                 raise FaultInjectionError(f"{name} must be >= 0, got {value}")
         if (self.gilbert_b > 0) != (self.gilbert_g > 0):
             raise FaultInjectionError(
@@ -130,7 +130,7 @@ class FaultProfile:
         # normalize so equality / no-op detection is well defined
         windows = tuple(tuple(window) for window in self.outage_windows)
         for window in windows:
-            if len(window) != 2 or window[0] > window[1]:
+            if len(window) != 2 or not window[0] <= window[1]:
                 raise FaultInjectionError(
                     f"outage windows are (start, end) with start <= end: {window}"
                 )

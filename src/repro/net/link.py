@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro import profiling as _profiling
 from repro.profiling import STAGE_BUCKETS
@@ -63,19 +63,22 @@ class Link:
         name: str = "link",
         random_loss: float = 0.0,
     ):
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:  # also rejects NaN
             raise ConfigurationError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ConfigurationError(f"delay must be non-negative, got {delay}")
         if not 0 <= random_loss < 1:
             raise ConfigurationError(f"random_loss must be in [0, 1), got {random_loss}")
         self.sim = sim
-        self.bandwidth_bps = bandwidth_bps
+        self._bandwidth_bps = bandwidth_bps
         self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue(1 << 40, f"{name}-q")
         self.name = name
         self._receiver: Optional[Receiver] = None
         self._busy = False
+        #: Serialization time by packet size. A link carries only a few
+        #: sizes, so each ``transmission_time`` is computed once.
+        self._tx_times: Dict[int, float] = {}
         #: Total packets/bytes that completed transmission on this link.
         self.transmitted_packets = 0
         self.transmitted_bytes = 0
@@ -107,6 +110,11 @@ class Link:
         if self.randomly_lost:
             registry.counter("link.random_loss", **labels).value = self.randomly_lost
 
+    @property
+    def bandwidth_bps(self) -> float:
+        """Serialization rate in bits/second, fixed at construction."""
+        return self._bandwidth_bps
+
     # ----------------------------------------------------------------- wiring
     def connect(self, receiver: Receiver) -> None:
         """Set the far-end delivery callback (a node's receive method)."""
@@ -137,13 +145,19 @@ class Link:
 
         Returns True if the packet was queued, False if it was dropped.
         """
-        accepted = self.queue.offer(self.sim.now, packet)
+        now = self.sim.now
+        accepted = self.queue.offer(now, packet)
         if accepted and not self._busy:
-            self._start_next()
+            self._start_next(now)
         return accepted
 
     # -------------------------------------------------------------- internals
-    def _start_next(self) -> None:
+    def _start_next(self, now: float) -> None:
+        # Called only with a packet waiting: an idle link whose queue is
+        # empty stays idle until the next send. Both per-hop events enter
+        # the heap through ``schedule_at`` at ``now + d``, the float that
+        # ``schedule(d)`` computes.
+        #
         # Per-packet hot path: one None check when no profiler is active
         # (the default everywhere outside `repro bench`). When one is,
         # deterministic stride sampling keeps the profiled run inside the
@@ -157,12 +171,12 @@ class Link:
         # sweeps of the same cells.
         prof = _profiling.ACTIVE
         if prof is None:
-            packet = self.queue.take(self.sim.now)
+            packet = self.queue.take(now)
         else:
             countdown = self._service_countdown - 1
             if countdown > 0:
                 self._service_countdown = countdown
-                packet = self.queue.take(self.sim.now)
+                packet = self.queue.take(now)
             else:
                 self._service_countdown = SERVICE_SAMPLE_STRIDE
                 acc = self._service_acc
@@ -170,7 +184,7 @@ class Link:
                     acc = self._service_acc = prof.leaf("queue.service")
                     self._service_prof = prof
                 service_start = perf_counter()
-                packet = self.queue.take(self.sim.now)
+                packet = self.queue.take(now)
                 elapsed = perf_counter() - service_start
                 acc[0] += SERVICE_SAMPLE_STRIDE
                 acc[1] += elapsed * SERVICE_SAMPLE_STRIDE
@@ -184,14 +198,16 @@ class Link:
                     acc[3][bisect_left(STAGE_BUCKETS, elapsed)] += (
                         SERVICE_SAMPLE_STRIDE
                     )
-        if packet is None:
-            self._busy = False
-            return
         self._busy = True
-        tx_time = transmission_time(packet.size, self.bandwidth_bps)
-        self.sim.schedule(tx_time, self._finish_transmission, packet)
+        size = packet.size
+        tx_time = self._tx_times.get(size)
+        if tx_time is None:
+            tx_time = self._tx_times[size] = transmission_time(size, self.bandwidth_bps)
+        self.sim.schedule_at(now + tx_time, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
+        sim = self.sim
+        now = sim.now
         self.transmitted_packets += 1
         self.transmitted_bytes += packet.size
         # Propagation: deliver to the far end `delay` seconds from now. The
@@ -202,8 +218,11 @@ class Link:
             if self._fault_injector is not None:
                 self._fault_injector.deliver(packet, self._receiver, self.delay)
             else:
-                self.sim.schedule(self.delay, self._receiver, packet)
-        self._start_next()
+                sim.schedule_at(now + self.delay, self._receiver, packet)
+        if self.queue.packets:
+            self._start_next(now)
+        else:
+            self._busy = False
 
     @property
     def utilization_hint(self) -> float:

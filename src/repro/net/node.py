@@ -35,38 +35,51 @@ class Node:
         self.name = name
         #: Outgoing links keyed by neighbour node name.
         self.links: Dict[str, Link] = {}
-        #: Destination node name -> next-hop neighbour name.
+        #: Destination node name -> next-hop neighbour name. Install routes
+        #: with :meth:`add_route`, which also keeps ``_next_link`` current.
         self.routes: Dict[str, str] = {}
+        #: Destination node name -> outgoing link: ``routes`` resolved
+        #: through ``links``, so forwarding is one lookup.
+        self._next_link: Dict[str, Link] = {}
         #: Packets that arrived with no route (should stay zero).
         self.unroutable = 0
 
     # ----------------------------------------------------------------- wiring
     def add_link(self, neighbor: str, link: Link) -> None:
-        """Register the outgoing link towards ``neighbor``."""
+        """Register the outgoing link towards ``neighbor``.
+
+        Replacing a neighbour's link re-points the routes through it.
+        """
         self.links[neighbor] = link
+        for destination, next_hop in self.routes.items():
+            if next_hop == neighbor:
+                self._next_link[destination] = link
 
     def add_route(self, destination: str, next_hop: str) -> None:
         """Install a static route."""
-        if next_hop not in self.links:
+        link = self.links.get(next_hop)
+        if link is None:
             raise RoutingError(
                 f"{self.name}: next hop {next_hop!r} has no attached link"
             )
         self.routes[destination] = next_hop
+        self._next_link[destination] = link
 
     # ------------------------------------------------------------- forwarding
-    def receive(self, packet: Packet) -> None:
-        """Packet arrived from a link; hosts override to deliver locally."""
-        self.forward(packet)
-
     def forward(self, packet: Packet) -> None:
         """Send ``packet`` towards its destination via the routing table."""
-        next_hop = self.routes.get(packet.dst)
-        if next_hop is None:
+        link = self._next_link.get(packet.dst)
+        if link is None:
             self.unroutable += 1
             raise RoutingError(
                 f"{self.name}: no route to {packet.dst!r} (packet {packet.pid})"
             )
-        self.links[next_hop].send(packet)
+        link.send(packet)
+
+    #: Packet arrived from a link: a forwarding node passes it on, and
+    #: hosts override this to deliver locally. An alias rather than a
+    #: method that calls ``forward``, so a router hop costs one frame.
+    receive = forward
 
 
 class Router(Node):

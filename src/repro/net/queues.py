@@ -83,13 +83,15 @@ class DropTailQueue:
     drop_cause = "tail"
 
     def __init__(self, capacity_bytes: int, name: str = "queue"):
-        if capacity_bytes <= 0:
+        if not capacity_bytes > 0:  # also rejects NaN
             raise ConfigurationError(
                 f"queue capacity must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self._packets: Deque[Packet] = deque()
+        #: Waiting packets, head first. The link transmitter tests it for
+        #: emptiness; change it only through :meth:`offer` and :meth:`take`.
+        self.packets: Deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
         self._observers: List[QueueObserver] = []
@@ -131,7 +133,7 @@ class DropTailQueue:
 
     # ------------------------------------------------------------------ state
     def __len__(self) -> int:
-        return len(self._packets)
+        return len(self.packets)
 
     @property
     def bytes_queued(self) -> int:
@@ -140,45 +142,46 @@ class DropTailQueue:
 
     @property
     def is_empty(self) -> bool:
-        return not self._packets
+        return not self.packets
 
     # ------------------------------------------------------------- operations
     def offer(self, time: float, packet: Packet) -> bool:
         """Try to admit ``packet`` at ``time``; return True if accepted."""
-        if self._admit(time, packet):
-            self._accept(time, packet)
-            return True
-        self._reject(time, packet)
-        return False
+        if not self._admit(time, packet):
+            self._reject(time, packet)
+            return False
+        size = packet.size
+        packet.enqueued_at = time
+        self.packets.append(packet)
+        self._bytes = qlen = self._bytes + size
+        stats = self.stats
+        stats.enqueued_packets += 1
+        stats.enqueued_bytes += size
+        if qlen > stats.peak_bytes:
+            stats.peak_bytes = qlen
+        for observer in self._observers:
+            observer.on_enqueue(time, packet, qlen)
+        return True
 
     def take(self, time: float) -> Optional[Packet]:
         """Remove and return the head-of-line packet, or None if empty."""
-        if not self._packets:
+        packets = self.packets
+        if not packets:
             return None
-        packet = self._packets.popleft()
-        self._bytes -= packet.size
-        self.stats.dequeued_packets += 1
-        self.stats.dequeued_bytes += packet.size
+        packet = packets.popleft()
+        size = packet.size
+        self._bytes = qlen = self._bytes - size
+        stats = self.stats
+        stats.dequeued_packets += 1
+        stats.dequeued_bytes += size
         for observer in self._observers:
-            observer.on_dequeue(time, packet, self._bytes)
+            observer.on_dequeue(time, packet, qlen)
         return packet
 
     # -------------------------------------------------------------- internals
     def _admit(self, time: float, packet: Packet) -> bool:
         """Drop-tail admission: accept iff the packet fits."""
         return self._bytes + packet.size <= self.capacity_bytes
-
-    def _accept(self, time: float, packet: Packet) -> None:
-        packet.enqueued_at = time
-        self._packets.append(packet)
-        self._bytes += packet.size
-        stats = self.stats
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += packet.size
-        if self._bytes > stats.peak_bytes:
-            stats.peak_bytes = self._bytes
-        for observer in self._observers:
-            observer.on_enqueue(time, packet, self._bytes)
 
     def _reject(self, time: float, packet: Packet) -> None:
         stats = self.stats
@@ -225,6 +228,8 @@ class REDQueue(DropTailQueue):
             raise ConfigurationError(
                 f"max_drop_prob must be in (0, 1], got {max_drop_prob}"
             )
+        if not 0 < weight <= 1.0:  # a NaN weight would early-drop everything
+            raise ConfigurationError(f"weight must be in (0, 1], got {weight}")
         self.min_thresh = min_thresh_frac * capacity_bytes
         self.max_thresh = max_thresh_frac * capacity_bytes
         self.max_drop_prob = max_drop_prob

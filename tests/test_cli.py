@@ -79,6 +79,9 @@ def test_measure_save_and_analyze_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "estimated loss frequency" in out
     assert "N=4000" in out
+    # A NaN tau would turn the §6.1 proximity rule off; it is refused.
+    assert main(["analyze", str(trace), "--tau", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_analyze_rejects_garbage(tmp_path, capsys):

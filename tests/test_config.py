@@ -1,5 +1,7 @@
 """Tests for configuration dataclasses."""
 
+import math
+
 import pytest
 
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig, TestbedConfig
@@ -58,6 +60,31 @@ def test_badabing_validation():
         BadabingConfig(p=1.0001)
     with pytest.raises(ConfigurationError):
         BadabingConfig(n_slots=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prop_delay", math.nan),
+        ("access_delay", math.nan),
+        ("buffer_time", math.nan),
+        ("bottleneck_bps", math.nan),
+        ("access_bps", math.nan),
+        ("prop_delay", -0.001),
+        ("access_delay", -0.001),
+    ],
+)
+def test_testbed_rejects_nan_and_negative_inputs(field, value):
+    with pytest.raises(ConfigurationError):
+        TestbedConfig(**{field: value})
+
+
+@pytest.mark.parametrize("tau", [math.nan, -0.01])
+def test_marking_rejects_nan_or_negative_tau(tau):
+    # A NaN tau would make every `distance <= tau` test false and silently
+    # switch the §6.1 proximity rule off.
+    with pytest.raises(ConfigurationError):
+        MarkingConfig(tau=tau)
 
 
 def test_marking_defaults():

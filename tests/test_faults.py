@@ -1,5 +1,7 @@
 """Tests for the fault-injection subsystem and graceful degradation."""
 
+import math
+
 import pytest
 
 from repro.core.records import CoverageReport
@@ -51,6 +53,23 @@ def test_profile_rejects_half_configured_gilbert_and_flap():
 def test_profile_rejects_inverted_outage_window():
     with pytest.raises(FaultInjectionError):
         FaultProfile(outage_windows=((5.0, 3.0),))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"reorder_delay": math.nan},
+        {"reorder_jitter": math.nan},
+        {"duplicate_lag": math.nan},
+        {"flap_start": math.nan},
+        {"outage_windows": ((math.nan, 3.0),)},
+    ],
+)
+def test_profile_rejects_nan_times(kwargs):
+    # A NaN delay fails mid-run in the scheduler; a NaN window silently
+    # never opens. Both are refused up front.
+    with pytest.raises(FaultInjectionError):
+        FaultProfile(**kwargs)
 
 
 def test_noop_detection_and_resolution():

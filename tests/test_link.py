@@ -1,12 +1,15 @@
 """Tests for the link transmitter (serialization + propagation)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.link import Link
+from repro.net.link import SERVICE_SAMPLE_STRIDE, Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.simulator import Simulator
+from repro.obs.profile import StageProfiler, profiling
 from repro.units import mbps
 
 
@@ -97,6 +100,71 @@ def test_invalid_parameters_rejected():
         Link(sim, 0, 0.01)
     with pytest.raises(ConfigurationError):
         Link(sim, mbps(1), -0.01)
+
+
+@pytest.mark.parametrize("bandwidth, delay", [(math.nan, 0.01), (mbps(1), math.nan)])
+def test_nan_parameters_rejected(bandwidth, delay):
+    with pytest.raises(ConfigurationError):
+        Link(Simulator(), bandwidth, delay)
+
+
+def serialization_starts(sends, bandwidth):
+    """``(start, tx)`` per packet of a FIFO link fed ``(send time, size)``.
+
+    A packet starts serializing at its send time if the link is idle, else
+    at the previous packet's end of transmission, ``start + tx``.
+    """
+    finished = -math.inf
+    hops = []
+    for sent_at, size in sends:
+        start = sent_at if sent_at > finished else finished
+        tx = size * 8 / bandwidth
+        finished = start + tx
+        hops.append((start, tx))
+    return hops
+
+
+def test_hop_times_are_exact_for_interleaved_sizes():
+    # Two links with different rates carry the same sizes, so a cache of
+    # serialization times keyed or shared wrongly gives a different float.
+    sends = [
+        (0.0, 1500), (0.0, 40), (0.0, 600), (0.0003, 40), (0.0011, 1500),
+        (0.0371, 600), (0.0371, 40), (0.0372, 1500), (0.0919, 40),
+        (0.25, 600), (0.2500001, 600), (0.2500002, 1500), (0.2500003, 40),
+    ]
+    for bandwidth, delay in ((mbps(12), 0.0123), (mbps(7.3), 0.0517)):
+        sim = Simulator()
+        link, arrivals = make_link(sim, bandwidth=bandwidth, delay=delay)
+        for sent_at, size in sends:
+            sim.schedule(sent_at, link.send, Packet("a", "b", size))
+        sim.run()
+        hops = serialization_starts(sends, bandwidth)
+        # Chained `schedule` arithmetic: end of transmission at start + tx,
+        # delivery `delay` after that.
+        expected = [(start + tx) + delay for start, tx in hops]
+        assert [time for time, _ in arrivals] == expected
+        assert [packet.size for _, packet in arrivals] == [size for _, size in sends]
+        # The schedule is chosen so that re-associating the sum changes at
+        # least one float.
+        assert [start + (tx + delay) for start, tx in hops] != expected
+
+
+def test_profiled_queue_service_counts_real_services_only():
+    # Two busy periods of 4 packets: the transmitter finds its queue empty
+    # twice, and neither empty check is a service. The first service of
+    # each stride is timed and stands in for the whole stride, so 8
+    # services make 2 strides; counting the empty checks would make 3.
+    sim = Simulator()
+    link, arrivals = make_link(sim)
+    profiler = StageProfiler()
+    with profiling(profiler):
+        for start in (0.0, 1.0):
+            for _ in range(4):
+                sim.schedule(start, link.send, Packet("a", "b", 1500))
+        sim.run()
+    assert len(arrivals) == 8
+    assert SERVICE_SAMPLE_STRIDE == 4
+    assert profiler.stages()["queue.service"]["calls"] == 8
 
 
 def test_utilization_hint():

@@ -126,3 +126,53 @@ def test_protocol_demux_is_separate_per_protocol():
     sim.run()
     assert not udp_got
     assert len(tcp_got) == 1
+
+
+def test_replacing_a_neighbours_link_reroutes_existing_routes():
+    sim = Simulator()
+    alice, bob = Host(sim, "alice"), Host(sim, "bob")
+    wire(sim, alice, bob)
+    alice.add_route("bob", "bob")
+    old = alice.links["bob"]
+    new = Link(sim, mbps(10), 0.002, name="alice->bob-2")
+    new.connect(bob.receive)
+    alice.add_link("bob", new)
+    got = []
+    bob.bind("udp", 4, got.append)
+    alice.send(Packet("alice", "bob", 100, port=4))
+    sim.run()
+    assert len(got) == 1
+    assert (old.transmitted_packets, new.transmitted_packets) == (0, 1)
+    assert alice.routes == {"bob": "bob"}
+
+
+def test_unroutable_destination_raises_and_counts():
+    sim = Simulator()
+    alice, bob = Host(sim, "alice"), Host(sim, "bob")
+    router = Router(sim, "r")
+    wire(sim, alice, router)
+    wire(sim, router, bob)
+    router.add_route("bob", "bob")
+    with pytest.raises(RoutingError, match="no route to 'carol'"):
+        router.receive(Packet("alice", "carol", 100))
+    with pytest.raises(RoutingError):
+        alice.send(Packet("alice", "carol", 100))
+    assert (router.unroutable, alice.unroutable) == (1, 1)
+
+
+def test_router_forwards_a_link_delivery():
+    sim = Simulator()
+    alice, bob = Host(sim, "alice"), Host(sim, "bob")
+    router = Router(sim, "r")
+    wire(sim, alice, router)
+    wire(sim, router, bob)
+    router.add_route("bob", "bob")
+    got = []
+    bob.bind("udp", 6, got.append)
+    # Drive the router only through the link that delivers into it.
+    alice.links["r"].send(Packet("alice", "bob", 100, port=6))
+    sim.run()
+    assert len(got) == 1
+    assert router.links["bob"].transmitted_packets == 1
+    assert router.links["alice"].transmitted_packets == 0
+    assert router.unroutable == 0

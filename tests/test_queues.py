@@ -1,5 +1,6 @@
 """Tests for drop-tail and RED queues."""
 
+import math
 import random
 
 import pytest
@@ -25,6 +26,12 @@ class RecordingObserver:
 
     def on_dequeue(self, time, packet, qlen):
         self.events.append(("deq", time, packet.pid, qlen))
+
+
+@pytest.mark.parametrize("capacity", [0, -1500, math.nan])
+def test_non_positive_or_nan_capacity_rejected(capacity):
+    with pytest.raises(ConfigurationError):
+        DropTailQueue(capacity)
 
 
 def test_fifo_order():
@@ -146,3 +153,9 @@ def test_red_parameter_validation():
         REDQueue(1000, min_thresh_frac=0.8, max_thresh_frac=0.5)
     with pytest.raises(ConfigurationError):
         REDQueue(1000, max_drop_prob=0.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, 0.0, -0.002, 1.5])
+def test_red_rejects_weight_outside_unit_interval(weight):
+    with pytest.raises(ConfigurationError):
+        REDQueue(1000, weight=weight)
