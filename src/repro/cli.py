@@ -698,18 +698,22 @@ def _live_config(args: argparse.Namespace):
     from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
     from repro.errors import ConfigurationError
 
-    n_slots = args.slots if args.slots else int(round(args.duration / args.slot))
+    # ProbeConfig checks the slot (positive, finite) before it divides.
+    probe = ProbeConfig(
+        slot=args.slot,
+        probe_size=args.size,
+        packets_per_probe=args.packets,
+    )
+    if not (args.slots or math.isfinite(args.duration)):
+        raise ConfigurationError(f"--duration must be finite, got {args.duration}")
+    n_slots = args.slots if args.slots else int(round(args.duration / probe.slot))
     if n_slots < 2:
         raise ConfigurationError(
             f"live run needs at least 2 slots (duration {args.duration}s "
             f"at {args.slot}s slots gives {n_slots})"
         )
     return BadabingConfig(
-        probe=ProbeConfig(
-            slot=args.slot,
-            probe_size=args.size,
-            packets_per_probe=args.packets,
-        ),
+        probe=probe,
         marking=MarkingConfig(alpha=args.alpha, tau=args.tau),
         p=args.p,
         n_slots=n_slots,

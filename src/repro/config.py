@@ -10,6 +10,7 @@ keeps the paper's values, preserving loss-episode dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -106,14 +107,22 @@ class ProbeConfig:
     intra_probe_gap: float = 30e-6
 
     def __post_init__(self) -> None:
-        if self.slot <= 0:
-            raise ConfigurationError("slot must be positive")
-        if self.probe_size <= 0:
-            raise ConfigurationError("probe_size must be positive")
-        if self.packets_per_probe < 1:
+        # As in TestbedConfig: `not x > 0` also rejects NaN. An infinite
+        # slot would make every schedule time and slot count overflow.
+        if not (self.slot > 0 and math.isfinite(self.slot)):
+            raise ConfigurationError(
+                f"slot must be positive and finite, got {self.slot}"
+            )
+        if not self.probe_size > 0:
+            raise ConfigurationError(
+                f"probe_size must be positive, got {self.probe_size}"
+            )
+        if not self.packets_per_probe >= 1:
             raise ConfigurationError("packets_per_probe must be >= 1")
-        if self.intra_probe_gap < 0:
-            raise ConfigurationError("intra_probe_gap must be non-negative")
+        if not self.intra_probe_gap >= 0:
+            raise ConfigurationError(
+                f"intra_probe_gap must be non-negative, got {self.intra_probe_gap}"
+            )
         if (self.packets_per_probe - 1) * self.intra_probe_gap >= self.slot:
             raise ConfigurationError(
                 "probe train longer than a slot; increase slot or shrink train"

@@ -19,9 +19,9 @@ from typing import List, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: Every legal ``bits`` tuple mapped to its §5 pattern string ("01",
-#: "110", ...). Outcomes are validated to 2–3 bits of 0/1, so the string
-#: form is a table lookup instead of a per-access join — this sits on the
-#: hot path of the pattern-counting estimators.
+#: "110", ...). An outcome is valid when its bits are a key here, so both
+#: the check and the string form are one table lookup instead of a
+#: per-bit loop or join — outcomes are built and counted in bulk.
 _PATTERN_STRINGS = {
     bits: "".join(str(bit) for bit in bits)
     for length in (2, 3)
@@ -88,12 +88,21 @@ class ExperimentOutcome:
     bits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.bits) not in (2, 3):
+        # One dict lookup accepts every legal tuple. The type test comes
+        # first: a list is unhashable, and hash() of an outcome must work.
+        bits = self.bits
+        if not isinstance(bits, tuple):
             raise ConfigurationError(
-                f"experiments span 2 or 3 slots, got {len(self.bits)}"
+                f"bits must be a tuple, got {type(bits).__name__}"
             )
-        if any(bit not in (0, 1) for bit in self.bits):
-            raise ConfigurationError(f"bits must be 0/1, got {self.bits}")
+        try:
+            if bits in _PATTERN_STRINGS:
+                return
+        except TypeError:  # a tuple holding something unhashable
+            pass
+        if len(bits) not in (2, 3):
+            raise ConfigurationError(f"experiments span 2 or 3 slots, got {len(bits)}")
+        raise ConfigurationError(f"bits must be 0/1, got {bits}")
 
     @property
     def is_basic(self) -> bool:

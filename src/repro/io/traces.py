@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Union
@@ -56,6 +57,58 @@ class TraceDiagnostic:
         return f"line {self.line_number}: {self.reason} ({self.snippet})"
 
 
+@dataclass(frozen=True)
+class _ProbeColumns:
+    """What :func:`reestimate` derives from the probes and experiments alone.
+
+    ``probes`` and ``experiments`` are copies of the lists the rest was
+    built from: the memo is reused only while they equal the measurement's
+    current lists. The arrays are read-only.
+    """
+
+    probes: List[ProbeRecord]
+    experiments: List[Experiment]
+    arrays: Any  # repro.core.batch.ProbeArrays
+    starts: Any  # np.ndarray, int64
+    lengths: Any  # np.ndarray, int64
+    #: One past the largest slot any probe or experiment covers.
+    reach: int
+    #: The records' own slot ints, in probe order.
+    slots: List[int]
+    n_probes_sent: int
+    n_packets: int
+
+    @classmethod
+    def build(
+        cls, probes: List[ProbeRecord], experiments: List[Experiment]
+    ) -> "_ProbeColumns":
+        from repro.core import batch
+
+        arrays = batch.ProbeArrays.from_records(probes)
+        starts, lengths = batch.experiment_arrays(experiments)
+        for column in (*vars(arrays).values(), starts, lengths):
+            column.flags.writeable = False
+        slots = [probe.slot for probe in probes]
+        return cls(
+            probes=list(probes),
+            experiments=list(experiments),
+            arrays=arrays,
+            starts=starts,
+            lengths=lengths,
+            # The batch stages index arrays by slot number, so a corrupt
+            # slot far past the window would allocate memory in proportion
+            # to its value; reestimate compares this with n_slots on every
+            # call.
+            reach=max(
+                int(arrays.slot.max()) + 1 if len(arrays) else 0,
+                int((starts + lengths).max()) if len(starts) else 0,
+            ),
+            slots=slots,
+            n_probes_sent=len(set(slots)),
+            n_packets=sum(probe.n_packets for probe in probes),
+        )
+
+
 @dataclass
 class Measurement:
     """A persisted (or persistable) measurement: schedule + probe records."""
@@ -68,6 +121,35 @@ class Measurement:
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: Corrupt lines skipped by a recovery-mode load (empty otherwise).
     diagnostics: List[TraceDiagnostic] = field(default_factory=list)
+
+    # Single-entry memo of reestimate's probe columns (a _ProbeColumns or
+    # None). Unannotated, so it is not a dataclass field and stays out of
+    # ==, repr, asdict and replace. Copies and pickles drop it
+    # (__getstate__): a copied array would come back writeable.
+    _columns = None
+
+    def _probe_columns(self) -> _ProbeColumns:
+        """The memo, rebuilt unless its saved lists equal the current ones.
+
+        The list compare is C-level and short-cuts on identity, so an
+        unchanged measurement costs one pass over two lists of pointers;
+        a record replaced by an equal one still reuses the memo.
+        """
+        memo = self._columns
+        if (
+            memo is None
+            or memo.probes != self.probes
+            or memo.experiments != self.experiments
+        ):
+            memo = self._columns = _ProbeColumns.build(
+                self.probes, self.experiments
+            )
+        return memo
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_columns", None)
+        return state
 
     def outcomes(self, slot_states: Dict[int, bool]) -> List[ExperimentOutcome]:
         """Assemble y_i values from marked slot states."""
@@ -246,18 +328,41 @@ def save_measurement(
             writer.write_probes(measurement.probes)
 
 
+#: The documented decoder entry under ``json.loads``. Called directly on a
+#: stripped line it skips two Python frames and two whitespace matches per
+#: probe, about a fifth of the decoding time of a long trace.
+_decode_json = json.JSONDecoder().raw_decode
+
+
 def _parse_probe_line(line: str) -> ProbeRecord:
-    """Decode one probe line; raises ValueError/KeyError/TypeError on rot."""
-    record = json.loads(line)
+    """Decode one stripped probe line; raises ValueError/KeyError/TypeError
+    on rot.
+
+    The batch stages read ``slot`` and ``n`` into int64 columns and sort
+    checks compare send times, so a fractional or non-finite number would
+    be truncated, crash the cast, or slip past a comparison; such a line
+    is corrupt.
+    """
+    record, end = _decode_json(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    return ProbeRecord(
-        slot=record["slot"],
-        send_time=record["t"],
-        n_packets=record["n"],
-        owds=tuple(record["owds"]),
-        owd_before_loss=record["obl"],
-    )
+    slot = record["slot"]
+    send_time = record["t"]
+    n_packets = record["n"]
+    owds = tuple(record["owds"])
+    owd_before_loss = record["obl"]
+    # type() is exact: JSON true/false decode to bool, an int subclass.
+    if type(slot) is not int or type(n_packets) is not int:
+        raise ValueError(f"slot and n must be integers, got {slot!r}, {n_packets!r}")
+    if not (
+        isfinite(send_time)
+        and all(map(isfinite, owds))
+        and (owd_before_loss is None or isfinite(owd_before_loss))
+    ):
+        raise ValueError("t, owds and obl must be finite numbers")
+    return ProbeRecord(slot, send_time, n_packets, owds, owd_before_loss)
 
 
 def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
@@ -493,9 +598,13 @@ def reestimate(
 
     Runs the array-batched slot pipeline
     (:func:`repro.core.batch.run_slot_pipeline`), because re-marking a long
-    trace — over a whole (α, τ) grid for Fig. 9 — is where the slot
-    pipeline is the whole cost. The result is bit-identical to the scalar
-    stages (:meth:`CongestionMarker.mark
+    trace — over a whole (α, τ) grid for Fig. 9 — is the offline hot path.
+    The probe columns, experiment arrays and per-record summaries it needs
+    depend on the probes and experiments alone, so they are kept on the
+    measurement and reused by the next call for as long as both lists
+    compare equal; each call still checks the slot reach against
+    ``n_slots`` and the send-time order. The result is bit-identical to
+    the scalar stages (:meth:`CongestionMarker.mark
     <repro.core.marking.CongestionMarker.mark>` → :meth:`Measurement.outcomes`
     → :func:`~repro.core.schedule.coverage_report` →
     :func:`~repro.core.estimators.estimate_from_outcomes` /
@@ -512,21 +621,15 @@ def reestimate(
     """
     from repro.core import batch
 
-    probes = measurement.probes
-    arrays = batch.ProbeArrays.from_records(probes)
-    starts, lengths = batch.experiment_arrays(measurement.experiments)
-    # The batch stages index arrays by slot number, so a corrupt slot far
-    # past the window would allocate memory in proportion to its value.
-    reach = max(
-        int(arrays.slot.max()) + 1 if len(arrays) else 0,
-        int((starts + lengths).max()) if len(starts) else 0,
-    )
-    if reach > measurement.n_slots:
+    columns = measurement._probe_columns()
+    if columns.reach > measurement.n_slots:
         raise ConfigurationError(
-            f"trace slots reach slot {reach - 1}, past its "
+            f"trace slots reach slot {columns.reach - 1}, past its "
             f"n_slots={measurement.n_slots}"
         )
-    pipeline = batch.run_slot_pipeline(starts, lengths, arrays, marking)
+    pipeline = batch.run_slot_pipeline(
+        columns.starts, columns.lengths, columns.arrays, marking
+    )
     marked = pipeline.marking
     coverage = pipeline.coverage
     return BadabingResult(
@@ -537,32 +640,28 @@ def reestimate(
         marking=MarkingResult(
             # Keyed by the records' own slot ints: ints minted from the
             # slot array would cost memory for as long as the result lives.
-            slot_states=dict(
-                zip([probe.slot for probe in probes], marked.states.tolist())
-            ),
+            slot_states=dict(zip(columns.slots, marked.states.tolist())),
             marked_by_loss=marked.marked_by_loss,
             marked_by_delay=marked.marked_by_delay,
             noise_losses=marked.noise_losses,
             owd_max_estimates=marked.owd_max_estimates,
         ),
-        probes=probes,
+        probes=measurement.probes,
         outcomes=batch.materialize_outcomes(
             pipeline.starts, pipeline.keys, pipeline.valid
         ),
-        n_probes_sent=len({probe.slot for probe in probes}),
-        probe_load_bps=_probe_load_bps(measurement),
+        n_probes_sent=columns.n_probes_sent,
+        probe_load_bps=_probe_load_bps(measurement, columns.n_packets),
         slot_width=measurement.slot_width,
         coverage=coverage,
     )
 
 
-def _probe_load_bps(measurement: Measurement) -> float:
-    """Probe load from the records themselves (sizes are not persisted, so
-    report packets/second x nominal 600 B unless metadata overrides)."""
+def _probe_load_bps(measurement: Measurement, n_packets: int) -> float:
+    """Probe load from the records' packet count (sizes are not persisted,
+    so report packets/second x nominal 600 B unless metadata overrides)."""
     probe_size = int(measurement.metadata.get("probe_size", 600))
     duration = measurement.n_slots * measurement.slot_width
     if duration <= 0:
         return 0.0
-    return (
-        sum(probe.n_packets for probe in measurement.probes) * probe_size * 8 / duration
-    )
+    return n_packets * probe_size * 8 / duration

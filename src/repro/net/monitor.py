@@ -192,9 +192,10 @@ class QueueSampler:
         interval: float,
         start: float = 0.0,
     ):
-        if interval <= 0:
+        # `not x > 0` also rejects NaN.
+        if not interval > 0:
             raise ConfigurationError(f"interval must be positive, got {interval}")
-        if drain_rate_bps <= 0:
+        if not drain_rate_bps > 0:
             raise ConfigurationError("drain_rate_bps must be positive")
         self.sim = sim
         self.queue = queue

@@ -59,7 +59,7 @@ class Packet:
         payload: Any = None,
         flow: Optional[str] = None,
     ):
-        if size <= 0:
+        if not size > 0:  # also rejects NaN
             raise ValueError(f"packet size must be positive, got {size}")
         self.pid = next(_packet_ids)
         self.src = src

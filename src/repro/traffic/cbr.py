@@ -70,13 +70,14 @@ class EpisodicCbrTraffic:
         start: float = 0.5,
         rng_label: str = "episodic-cbr",
     ):
-        if overload_factor <= 1.0:
+        # `not x > ...` also rejects NaN.
+        if not overload_factor > 1.0:
             raise ConfigurationError(
                 f"overload_factor must exceed 1.0 to cause loss: {overload_factor}"
             )
-        if not episode_durations or any(d <= 0 for d in episode_durations):
+        if not episode_durations or not all(d > 0 for d in episode_durations):
             raise ConfigurationError("episode durations must be positive")
-        if mean_spacing <= 0:
+        if not mean_spacing > 0:
             raise ConfigurationError("mean_spacing must be positive")
         self.sim = sim
         self.bottleneck_bps = bottleneck_bps

@@ -77,9 +77,10 @@ class HarpoonWebTraffic:
     ):
         if not senders or not receivers:
             raise ConfigurationError("need at least one sender and one receiver")
-        if session_rate <= 0:
+        # `not x > ...` also rejects NaN.
+        if not session_rate > 0:
             raise ConfigurationError("session_rate must be positive")
-        if pareto_shape <= 1.0:
+        if not pareto_shape > 1.0:
             raise ConfigurationError(
                 "pareto_shape must exceed 1 so mean file size is finite"
             )

@@ -60,9 +60,10 @@ class UdpSource(Application):
         start: float = 0.0,
         flow: Optional[str] = None,
     ):
-        if packet_size <= 0:
+        # `not x > 0` / `not x >= 0` also reject NaN.
+        if not packet_size > 0:
             raise ConfigurationError(f"packet_size must be positive: {packet_size}")
-        if rate_bps < 0:
+        if not rate_bps >= 0:
             raise ConfigurationError(f"rate must be non-negative: {rate_bps}")
         super().__init__(sim, host, "udp")
         self.dst = dst
@@ -83,7 +84,7 @@ class UdpSource(Application):
 
     def set_rate(self, rate_bps: float) -> None:
         """Change the sending rate; takes effect immediately."""
-        if rate_bps < 0:
+        if not rate_bps >= 0:
             raise ConfigurationError(f"rate must be non-negative: {rate_bps}")
         was_paused = self.rate_bps == 0
         self.rate_bps = rate_bps

@@ -8,7 +8,10 @@ it is checked end to end against the explicit scalar chain. Hypothesis
 drives random seeds, probe streams, and marking parameters at the pieces.
 """
 
+import copy
+import dataclasses
 import filecmp
+import pickle
 import random
 
 import pytest
@@ -191,15 +194,9 @@ def test_counter_from_histogram_covers_every_pattern():
 # ---------------------------------------------------------------------------
 
 
-def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
-    from repro.io import (
-        load_measurement,
-        load_measurement_binary,
-        reestimate,
-        save_measurement,
-        save_measurement_binary,
-    )
-    from repro.io.traces import TraceWriter, measurement_from_tool
+@pytest.fixture(scope="module")
+def episodic_measurement():
+    from repro.io.traces import measurement_from_tool
 
     keep = {}
     run_badabing(
@@ -211,8 +208,44 @@ def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
         scenario_kwargs={"mean_spacing": 2.0},
         keep=keep,
     )
-    measurement = measurement_from_tool(keep["tool"], {"note": "batch"})
+    return measurement_from_tool(keep["tool"], {"note": "batch"})
 
+
+#: A Fig. 9-style (alpha, tau) grid.
+GRID = [
+    MarkingConfig(alpha=alpha, tau=tau)
+    for alpha in (0.05, 0.1, 0.2)
+    for tau in (0.04, 0.08)
+]
+
+
+def scalar_chain(measurement, marking=None):
+    """The §6.1 → §5 reference, stage by stage."""
+    marked = CongestionMarker(marking).mark(measurement.probes)
+    outcomes = measurement.outcomes(marked.slot_states)
+    coverage = coverage_report(measurement.experiments, marked.slot_states)
+    return (
+        marked,
+        outcomes,
+        coverage,
+        estimate_from_outcomes(outcomes, coverage=coverage),
+        validate_outcomes(outcomes, coverage=coverage),
+    )
+
+
+def test_trace_binary_roundtrip_and_vectorized_reestimate(
+    tmp_path, episodic_measurement
+):
+    from repro.io import (
+        load_measurement,
+        load_measurement_binary,
+        reestimate,
+        save_measurement,
+        save_measurement_binary,
+    )
+    from repro.io.traces import TraceWriter
+
+    measurement = episodic_measurement
     jsonl = tmp_path / "trace.jsonl"
     packed = tmp_path / "trace.npz"
     save_measurement(jsonl, measurement)
@@ -223,19 +256,19 @@ def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
     assert from_binary.probes == from_jsonl.probes
     assert from_binary.metadata == from_jsonl.metadata
 
-    # The scalar reference chain, stage by stage.
-    marked = CongestionMarker().mark(from_jsonl.probes)
-    outcomes = from_jsonl.outcomes(marked.slot_states)
-    coverage = coverage_report(from_jsonl.experiments, marked.slot_states)
-    estimate = estimate_from_outcomes(outcomes, coverage=coverage)
-    validation = validate_outcomes(outcomes, coverage=coverage)
-    for loaded in (from_jsonl, from_binary):
-        batched = reestimate(loaded)
-        assert_same_estimate(batched.estimate, estimate)
-        assert batched.validation == validation
-        assert batched.outcomes == outcomes
-        assert batched.coverage == coverage
-        assert batched.marking == marked
+    # One loaded measurement of each kind, re-marked over the whole grid:
+    # every call after the first reuses the probe columns.
+    for marking in [None, *GRID]:
+        marked, outcomes, coverage, estimate, validation = scalar_chain(
+            from_jsonl, marking
+        )
+        for loaded in (from_jsonl, from_binary):
+            batched = reestimate(loaded, marking)
+            assert_same_estimate(batched.estimate, estimate)
+            assert batched.validation == validation
+            assert batched.outcomes == outcomes
+            assert batched.coverage == coverage
+            assert batched.marking == marked
 
     # Batched writes produce byte-identical trace files.
     one_by_one = tmp_path / "a.jsonl"
@@ -253,3 +286,133 @@ def test_trace_binary_roundtrip_and_vectorized_reestimate(tmp_path):
     with TraceWriter(batched_path, *args) as writer:
         writer.write_probes(measurement.probes)
     assert filecmp.cmp(one_by_one, batched_path, shallow=False)
+
+
+# ---------------------------------------------------------------------------
+# The probe-column memo behind repeated reestimate calls
+# ---------------------------------------------------------------------------
+
+
+def assert_same_result(a, b):
+    assert_same_estimate(a.estimate, b.estimate)
+    assert a.validation == b.validation
+    assert a.marking == b.marking
+    assert a.probes == b.probes
+    assert a.outcomes == b.outcomes
+    assert a.n_probes_sent == b.n_probes_sent
+    assert a.probe_load_bps == b.probe_load_bps
+    assert a.coverage == b.coverage
+
+
+def _swap_two_probes(m):
+    m.probes[3], m.probes[4] = m.probes[4], m.probes[3]
+
+
+def _replace_with_a_lost_probe(m):
+    index = next(i for i, probe in enumerate(m.probes) if not probe.lost)
+    m.probes[index] = dataclasses.replace(m.probes[index], owds=())
+
+
+def _replace_with_an_equal_copy(m):
+    probe = m.probes[10]
+    m.probes[10] = ProbeRecord(
+        probe.slot, probe.send_time, probe.n_packets, probe.owds,
+        probe.owd_before_loss,
+    )
+
+
+def _append_a_probe(m):
+    # A second, lost probe in the last probed slot: its state is the last
+    # write, so the slot turns congested.
+    last = m.probes[-1]
+    m.probes.append(
+        dataclasses.replace(last, send_time=last.send_time + 1e-3, owds=())
+    )
+
+
+def _truncate_the_probes(m):
+    del m.probes[len(m.probes) // 2:]
+
+
+def _replace_the_experiments(m):
+    m.experiments = m.experiments[::2]
+
+
+def _lower_n_slots_below_the_reach(m):
+    m.n_slots = max(probe.slot for probe in m.probes)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (_swap_two_probes, "sorted by send time"),
+        (_replace_with_a_lost_probe, None),
+        (_replace_with_an_equal_copy, None),
+        (_append_a_probe, None),
+        (_truncate_the_probes, None),
+        (_replace_the_experiments, None),
+        (_lower_n_slots_below_the_reach, "past its n_slots"),
+    ],
+    ids=["swap", "replace", "replace-equal", "append", "truncate",
+         "experiments", "n_slots"],
+)
+def test_reestimate_after_a_change_matches_a_fresh_load(
+    tmp_path, episodic_measurement, change, error
+):
+    """The memo is keyed by value: whatever changes between two calls on
+    one measurement, the second result equals a fresh load's."""
+    from repro.errors import ConfigurationError
+    from repro.io import load_measurement, reestimate, save_measurement
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, episodic_measurement)
+    measurement = load_measurement(path)
+    marking = GRID[0]
+    before = reestimate(measurement, marking)
+    memo = measurement._columns
+    change(measurement)
+    save_measurement(path, measurement)
+    fresh = load_measurement(path)
+    if error is not None:
+        with pytest.raises(ConfigurationError, match=error):
+            reestimate(measurement, marking)
+        with pytest.raises(ConfigurationError, match=error):
+            reestimate(fresh, marking)
+        return
+    after = reestimate(measurement, marking)
+    assert_same_result(after, reestimate(fresh, marking))
+    if change is _replace_with_an_equal_copy:
+        # Equal values, so the columns are still valid and kept.
+        assert measurement._columns is memo
+        assert_same_result(after, before)
+    else:
+        assert measurement._columns is not memo
+        assert after.marking != before.marking or after.coverage != before.coverage
+
+
+def test_reestimate_memo_is_read_only_and_private(tmp_path, episodic_measurement):
+    from repro.io import load_measurement, reestimate, save_measurement
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, episodic_measurement)
+    measurement = load_measurement(path)
+    reestimate(measurement)
+    memo = measurement._columns
+    columns = [*vars(memo.arrays).values(), memo.starts, memo.lengths]
+    assert len(columns) == 8
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    # Not a dataclass field: no effect on ==, repr, asdict or replace, and
+    # copies and pickles leave it behind.
+    fresh = load_measurement(path)
+    assert measurement == fresh
+    assert repr(measurement) == repr(fresh)
+    assert dataclasses.asdict(measurement) == dataclasses.asdict(fresh)
+    assert "_columns" not in dataclasses.asdict(measurement)
+    assert dataclasses.replace(measurement)._columns is None
+    assert copy.copy(measurement)._columns is None
+    assert copy.deepcopy(measurement)._columns is None
+    assert pickle.loads(pickle.dumps(measurement))._columns is None
+    assert measurement._columns is memo
+

@@ -1,5 +1,7 @@
 """Tests for the episodic (modified-Iperf-like) CBR traffic."""
 
+import math
+
 import pytest
 
 from repro.analysis.episodes import episodes_from_monitor
@@ -93,3 +95,17 @@ def test_deterministic_given_seed():
     sim_b, _tb_b, traffic_b = build(seed=9, mean_spacing=3.0)
     sim_b.run(until=30.0)
     assert traffic_a.scheduled_episodes == traffic_b.scheduled_episodes
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"overload_factor": math.nan},
+        {"episode_durations": (0.05, math.nan)},
+        {"mean_spacing": math.nan},
+    ],
+    ids=["overload_factor", "episode_durations", "mean_spacing"],
+)
+def test_nan_parameters_rejected(kwargs):
+    with pytest.raises(ConfigurationError):
+        build(**kwargs)

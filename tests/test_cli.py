@@ -92,3 +92,20 @@ def test_analyze_rejects_garbage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "badabing-trace" in err or "nope" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--slot", "nan"],
+        ["--slot", "0"],
+        ["--slot", "inf", "--slots", "20"],
+        ["--duration", "nan"],
+    ],
+    ids=["nan-slot", "zero-slot", "inf-slot", "nan-duration"],
+)
+def test_live_loopback_rejects_bad_slot_before_dividing(extra, capsys):
+    # Each used to die with a ValueError, ZeroDivisionError or
+    # OverflowError traceback before any socket was opened.
+    assert main(["live", "loopback", *extra]) == 2
+    assert capsys.readouterr().err.startswith("error:")

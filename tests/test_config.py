@@ -92,3 +92,18 @@ def test_marking_defaults():
     assert marking.alpha == 0.1
     assert marking.tau == pytest.approx(0.080)
     assert marking.owd_history == 16
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slot", math.nan),
+        ("slot", math.inf),
+        ("probe_size", math.nan),
+        ("intra_probe_gap", math.nan),
+    ],
+)
+def test_probe_config_rejects_nan_and_infinite_slot(field, value):
+    # NaN passes `x <= 0`; an infinite slot overflows every schedule time.
+    with pytest.raises(ConfigurationError):
+        ProbeConfig(**{field: value})

@@ -1,5 +1,7 @@
 """Tests for the Harpoon-like web traffic generator."""
 
+import math
+
 import pytest
 
 from repro.analysis.episodes import episodes_from_monitor
@@ -109,3 +111,9 @@ def test_deterministic_given_seed():
     sim_b.run(until=20.0)
     assert traffic_a.transfers_started == traffic_b.transfers_started
     assert traffic_a.bytes_offered == traffic_b.bytes_offered
+
+
+@pytest.mark.parametrize("field", ["session_rate", "pareto_shape"])
+def test_nan_parameters_rejected(field):
+    with pytest.raises(ConfigurationError):
+        build(**{field: math.nan})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -177,6 +178,18 @@ def test_corrupt_probe_line_raises_trace_format_error(finished_tool, tmp_path):
         load_measurement(path)
 
 
+def test_probe_line_with_trailing_data_is_corrupt(finished_tool, tmp_path):
+    from repro.errors import TraceFormatError
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, finished_tool)
+    line = open(path).readlines()[2].rstrip("\n")
+    _corrupt_lines(path, [3], line + " {}\n")
+    with pytest.raises(TraceFormatError, match="Extra data") as excinfo:
+        load_measurement(path)
+    assert excinfo.value.line_number == 3
+
+
 def test_missing_field_raises_trace_format_error_not_key_error(
     finished_tool, tmp_path
 ):
@@ -262,3 +275,44 @@ def test_reestimate_attaches_full_coverage_on_clean_trace(finished_tool, tmp_pat
     assert result.coverage.complete
     assert result.estimate.coverage is result.coverage
     assert result.validation.coverage is result.coverage
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slot", 1.5),
+        ("t", math.nan),
+        ("n", math.nan),
+        ("slot", math.nan),
+        ("slot", True),
+        ("owds", [0.01, math.inf]),
+        ("obl", math.nan),
+    ],
+    ids=["fractional-slot", "nan-t", "nan-n", "nan-slot", "bool-slot", "inf-owd",
+         "nan-obl"],
+)
+def test_non_integer_or_non_finite_probe_field_is_corrupt(
+    finished_tool, tmp_path, capsys, field, value
+):
+    # The batch stages would truncate a fractional slot (moving F-hat), let
+    # a NaN send time past the sort check, or crash on the int64 cast.
+    from repro.cli import main
+    from repro.errors import TraceFormatError
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, finished_tool)
+    lines = open(path).readlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    _corrupt_lines(path, [3], json.dumps(record) + "\n")
+    with pytest.raises(TraceFormatError) as excinfo:
+        load_measurement(path)
+    assert excinfo.value.line_number == 3
+    recovered = load_measurement(path, recover=True)
+    assert [diag.line_number for diag in recovered.diagnostics] == [3]
+    assert len(recovered.probes) == len(lines) - 2
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 3" in err
+

@@ -1,5 +1,7 @@
 """Tests for the ground-truth monitors (DAG-card equivalents)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -92,3 +94,13 @@ def test_sampler_validates_parameters():
         QueueSampler(sim, queue, mbps(12), interval=0)
     with pytest.raises(ConfigurationError):
         QueueSampler(sim, queue, 0, interval=0.01)
+
+
+@pytest.mark.parametrize(
+    "drain_rate_bps, interval",
+    [(mbps(12), math.nan), (math.nan, 0.01)],
+    ids=["interval", "drain_rate_bps"],
+)
+def test_sampler_rejects_nan_parameters(drain_rate_bps, interval):
+    with pytest.raises(ConfigurationError):
+        QueueSampler(Simulator(), DropTailQueue(1000), drain_rate_bps, interval=interval)

@@ -1,5 +1,7 @@
 """Tests for the Packet type."""
 
+import math
+
 import pytest
 
 from repro.net.packet import Packet
@@ -20,6 +22,14 @@ def test_default_flow_label():
 def test_size_must_be_positive():
     with pytest.raises(ValueError):
         Packet("a", "b", 0)
+
+
+@pytest.mark.parametrize("size", [-1, math.nan])
+def test_negative_or_nan_size_rejected(size):
+    # NaN passes `size <= 0`; the link would then compute a NaN
+    # transmission time.
+    with pytest.raises(ValueError):
+        Packet("a", "b", size)
 
 
 def test_metadata_is_lazy():

@@ -51,6 +51,12 @@ def test_outcome_validation():
         ExperimentOutcome(0, (1, 0, 1, 0))
     with pytest.raises(ConfigurationError):
         ExperimentOutcome(0, (0, 2))
+    # A list of legal bits is refused up front: it would make hash() and
+    # as_string raise TypeError later.
+    with pytest.raises(ConfigurationError, match="tuple"):
+        ExperimentOutcome(0, [0, 1])
+    with pytest.raises(ConfigurationError):
+        ExperimentOutcome(0, ([0], 1))
 
 
 def test_outcomes_are_hashable_value_objects():

@@ -1,5 +1,7 @@
 """Tests for UDP sources and sinks."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -132,3 +134,19 @@ def test_invalid_parameters():
                        packet_size=100, dst_port=1)
     with pytest.raises(ConfigurationError):
         source.set_rate(-5)
+
+
+@pytest.mark.parametrize(
+    "rate_bps, packet_size, new_rate",
+    [(math.nan, 1500, 0.0), (1e6, math.nan, 0.0), (0.0, 1500, math.nan)],
+    ids=["nan-rate", "nan-size", "nan-set-rate"],
+)
+def test_nan_parameters_rejected(rate_bps, packet_size, new_rate):
+    # NaN passes `x < 0` and `x <= 0`; a NaN rate would schedule ticks at
+    # NaN times.
+    sim, testbed = make_pair()
+    with pytest.raises(ConfigurationError):
+        source = UdpSource(sim, testbed.traffic_senders[0], "trcv0",
+                           rate_bps=rate_bps, packet_size=packet_size,
+                           dst_port=1)
+        source.set_rate(new_rate)
