@@ -39,6 +39,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.errors import ReproError
@@ -107,57 +108,163 @@ def _add_export_arguments(
     )
 
 
+def _add_faults_argument(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--faults", choices=sorted(_FAULT_PROFILES), default="none", help=help
+    )
+
+
+def _add_probe_arguments(parser: argparse.ArgumentParser) -> None:
+    """Probe-train and marking flags of the live and fleet commands."""
+    parser.add_argument("--p", type=float, default=0.3, help="per-slot probe probability")
+    parser.add_argument("--slot", type=float, default=0.005, help="slot width in seconds")
+    parser.add_argument("--packets", type=int, default=3, help="packets per probe train")
+    parser.add_argument("--size", type=int, default=600, help="probe size in bytes")
+    parser.add_argument("--alpha", type=float, default=0.1, help="§6.1 delay fraction")
+    parser.add_argument(
+        "--tau", type=float, default=0.080, help="§6.1 loss proximity window (s)"
+    )
+    parser.add_argument(
+        "--improved", action="store_true", help="use the §5.3 improved algorithm"
+    )
+    parser.add_argument("--seed", type=int, default=1)
+
+
 def _export_requested(args: argparse.Namespace) -> bool:
     return bool(getattr(args, "export_out", "")) or (
         getattr(args, "export_port", None) is not None
     )
 
 
-def _build_exporter(
-    args: argparse.Namespace, registry, tracer=None, meta=None, default_rules=None
+@contextmanager
+def _long_run(
+    args: argparse.Namespace,
+    meta,
+    header: str = "",
+    registry=None,
+    tracer=None,
+    default_rules=None,
 ):
-    """TelemetryExporter from the --export-* flags, or None when unused."""
-    if registry is None or not _export_requested(args):
-        return None
-    from repro.obs import TelemetryExporter, default_fleet_rules, load_alert_rules
+    """Registry and exporter of a long-running command, as ``(registry, exporter)``.
 
-    if args.alert_rules:
-        rules = load_alert_rules(args.alert_rules)
-    elif default_rules is not None:
-        rules = default_rules
-    else:
-        rules = default_fleet_rules()
-    return TelemetryExporter(
-        registry,
-        interval=args.export_interval,
-        path=args.export_out or None,
-        http_port=getattr(args, "export_port", None),
-        rules=rules,
-        tracer=tracer,
-        meta=meta,
+    The registry is ``registry``, else a fresh one when --metrics-out or an
+    exporter needs it, else None. The exporter comes from the --export-*
+    flags (None when unused); it is announced after ``header`` and closed
+    on every exit path, so a run killed by its deadline still leaves a
+    valid snapshot stream. On a normal exit --metrics-out is written,
+    before any summary line: a reader closing the pipe (`| head`) must not
+    cost the file.
+    """
+    if registry is None and (args.metrics_out or _export_requested(args)):
+        registry = MetricsRegistry()
+    exporter = None
+    if registry is not None and _export_requested(args):
+        from repro.obs import TelemetryExporter, default_fleet_rules, load_alert_rules
+
+        if args.alert_rules:
+            rules = load_alert_rules(args.alert_rules)
+        else:
+            rules = default_rules if default_rules is not None else default_fleet_rules()
+        exporter = TelemetryExporter(
+            registry,
+            interval=args.export_interval,
+            path=args.export_out or None,
+            http_port=getattr(args, "export_port", None),
+            rules=rules,
+            tracer=tracer,
+            meta=meta,
+        )
+    if header:
+        print(header)
+    if exporter is not None:
+        port = getattr(args, "export_port", None)
+        if port is not None:
+            where = f"127.0.0.1:{port}" if port else "127.0.0.1 (ephemeral port)"
+            print(f"telemetry: /metrics /healthz /sessions on http://{where}")
+        if args.export_out:
+            print(f"telemetry: streaming snapshots to {args.export_out}")
+    try:
+        yield registry, exporter
+    finally:
+        if exporter is not None:
+            exporter.close()
+    if args.metrics_out:
+        write_metrics_document(args.metrics_out, registry, None)
+
+
+#: The artifact lines a long-running command ends with, in this order.
+_WRITTEN = (
+    ("controller_out", "controller events written to"),
+    ("metrics_out", "metrics written to"),
+    ("audit_out", "audit written to"),
+    ("trace_out", "trace written to"),
+    ("export_out", "export snapshots written to"),
+)
+
+
+def _print_written(args: argparse.Namespace) -> None:
+    for flag, text in _WRITTEN:
+        if getattr(args, flag, ""):
+            print(f"{text} {getattr(args, flag)}")
+
+
+def _run_obs(args: argparse.Namespace, **meta):
+    """Registry and tracer of one run's --metrics-out / --trace-out."""
+    metrics = MetricsRegistry() if args.metrics_out else None
+    tracer = Tracer(**meta) if args.trace_out else None
+    return metrics, tracer
+
+
+def _write_run_obs(args: argparse.Namespace, metrics, tracer, manifest) -> None:
+    """Write one run's --metrics-out / --trace-out, each before its line."""
+    if args.metrics_out:
+        write_metrics_document(args.metrics_out, metrics, manifest)
+        print(f"metrics written to {args.metrics_out}")
+    if tracer is not None:
+        tracer.write_jsonl(args.trace_out)
+        print(f"trace written to {args.trace_out}")
+
+
+def _duration_text(seconds: float) -> str:
+    return "n/a (no transitions observed)" if math.isnan(seconds) else f"{seconds:.3f}s"
+
+
+def _print_estimate(result) -> None:
+    """The estimate lines of ``analyze`` and the live commands."""
+    print(f"estimated loss frequency: {result.frequency:.4f}")
+    print(f"estimated loss duration:  {_duration_text(result.duration_seconds)}")
+    _print_checks(result, None)
+
+
+def _print_checks(result, injector) -> None:
+    """Validation, coverage and injected-fault accounting of one estimate."""
+    validation = result.validation
+    print(
+        f"validation: transitions={validation.transition_count} "
+        f"asymmetry={validation.transition_asymmetry:.3f} "
+        f"violations={validation.violations}"
     )
-
-
-def _announce_exporter(exporter, args: argparse.Namespace) -> None:
-    if exporter is None:
-        return
-    port = getattr(args, "export_port", None)
-    if port is not None:
-        where = f"127.0.0.1:{port}" if port else "127.0.0.1 (ephemeral port)"
-        print(f"telemetry: /metrics /healthz /sessions on http://{where}")
-    if args.export_out:
-        print(f"telemetry: streaming snapshots to {args.export_out}")
+    coverage = result.coverage
+    if coverage is not None and not coverage.complete:
+        print(f"degraded: {coverage.describe()}")
+    if result.duplicate_arrivals:
+        print(f"degraded: {result.duplicate_arrivals} duplicate arrivals discarded")
+    if injector is not None:
+        stats = injector.stats
+        print(
+            f"faults injected: dropped={stats.dropped} "
+            f"(random={stats.dropped_random} burst={stats.dropped_burst} "
+            f"flap={stats.dropped_flap} outage={stats.dropped_outage}) "
+            f"duplicated={stats.duplicated} reordered={stats.reordered}"
+        )
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
     n_slots = args.slots if args.slots else profile.n_slots
     keep = {}
-    metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing", scenario=args.scenario, seed=args.seed)
-        if args.trace_out
-        else None
+    metrics, tracer = _run_obs(
+        args, tool="badabing", scenario=args.scenario, seed=args.seed
     )
     result, truth = run_badabing(
         args.scenario,
@@ -171,12 +278,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         tracer=tracer,
         keep=keep,
     )
-    if args.metrics_out:
-        write_metrics_document(args.metrics_out, metrics, result.manifest)
-        print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out}")
+    _write_run_obs(args, metrics, tracer, result.manifest)
     if args.audit_out:
         from repro.obs import (
             audit_document,
@@ -207,47 +309,18 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     print(f"scenario={args.scenario} p={args.p} N={n_slots} (seed {args.seed})")
     print(f"probes sent: {result.n_probes_sent}  load: {result.probe_load_bps / 1e3:.0f} kb/s")
     print(f"loss frequency: true={truth.frequency:.4f}  estimated={result.frequency:.4f}")
-    duration = result.duration_seconds
-    duration_text = "n/a (no transitions observed)" if math.isnan(duration) else f"{duration:.3f}s"
     print(
         f"loss duration:  true={truth.duration_mean:.3f}s "
-        f"(σ {truth.duration_std:.3f})  estimated={duration_text}"
+        f"(σ {truth.duration_std:.3f})  "
+        f"estimated={_duration_text(result.duration_seconds)}"
     )
-    validation = result.validation
-    print(
-        f"validation: transitions={validation.transition_count} "
-        f"asymmetry={validation.transition_asymmetry:.3f} "
-        f"violations={validation.violations}"
-    )
-    _print_degraded_summary(result, keep.get("fault_injector"))
+    _print_checks(result, keep["fault_injector"])
     return 0
-
-
-def _print_degraded_summary(result, injector) -> None:
-    """Coverage + injected-fault accounting for degraded-mode runs."""
-    coverage = result.coverage
-    if coverage is not None and not coverage.complete:
-        print(f"degraded: {coverage.describe()}")
-    if result.duplicate_arrivals:
-        print(f"degraded: {result.duplicate_arrivals} duplicate arrivals discarded")
-    if injector is not None:
-        stats = injector.stats
-        print(
-            f"faults injected: dropped={stats.dropped} "
-            f"(random={stats.dropped_random} burst={stats.dropped_burst} "
-            f"flap={stats.dropped_flap} outage={stats.dropped_outage}) "
-            f"duplicated={stats.duplicated} reordered={stats.reordered}"
-        )
 
 
 def _cmd_zing(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args.profile)
-    metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="zing", scenario=args.scenario, seed=args.seed)
-        if args.trace_out
-        else None
-    )
+    metrics, tracer = _run_obs(args, tool="zing", scenario=args.scenario, seed=args.seed)
     result, truth = run_zing(
         args.scenario,
         mean_interval=1.0 / args.rate,
@@ -258,12 +331,7 @@ def _cmd_zing(args: argparse.Namespace) -> int:
         metrics=metrics,
         tracer=tracer,
     )
-    if args.metrics_out:
-        write_metrics_document(args.metrics_out, metrics, result.manifest)
-        print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out}")
+    _write_run_obs(args, metrics, tracer, result.manifest)
     print(f"scenario={args.scenario} rate={args.rate}Hz size={args.size}B")
     print(f"probes sent: {result.n_sent}  lost: {result.n_lost}")
     print(f"loss frequency: true={truth.frequency:.4f}  reported={result.frequency:.4f}")
@@ -304,11 +372,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     metrics = MetricsRegistry()
     tracer = Tracer(tool="badabing-sweep") if args.trace_out else None
-    exporter = _build_exporter(
-        args, metrics, tracer=tracer, meta={"tool": "badabing-sweep"}
-    )
-    _announce_exporter(exporter, args)
-    try:
+    with _long_run(
+        args, {"tool": "badabing-sweep"}, registry=metrics, tracer=tracer
+    ) as (_, exporter):
         outcomes = sweep_badabing(
             cells,
             budget=budget,
@@ -322,16 +388,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             warmup=profile.warmup,
             improved=args.improved,
         )
-    finally:
-        # Flush the final export record on every exit path, so a sweep
-        # killed by its deadline still leaves a valid snapshot stream.
-        if exporter is not None:
-            exporter.close()
     scorecard = scorecard_from_outcomes(outcomes)
     # Write requested artifacts before any stdout: a downstream reader
     # closing the pipe (`| head`) must not cost the exported files.
-    if args.metrics_out:
-        write_metrics_document(args.metrics_out, metrics, None)
     if args.audit_out:
         from repro.obs import audit_document, write_audit_document
 
@@ -354,14 +413,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(line)
     print(f"scorecard digest: {scorecard_digest(scorecard)}")
     print(f"metrics digest:   {snapshot_digest(metrics.snapshot())}")
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
-    if args.audit_out:
-        print(f"audit written to {args.audit_out}")
-    if tracer is not None:
-        print(f"trace written to {args.trace_out}")
-    if args.export_out:
-        print(f"export snapshots written to {args.export_out}")
+    _print_written(args)
     return 0 if any(outcome.ok for outcome in outcomes) else 1
 
 
@@ -386,19 +438,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if measurement.metadata:
         print(f"metadata: {measurement.metadata}")
     print(f"marking: alpha={args.alpha} tau={args.tau * 1000:.0f}ms")
-    print(f"estimated loss frequency: {result.frequency:.4f}")
-    duration = result.duration_seconds
-    duration_text = (
-        "n/a (no transitions observed)" if math.isnan(duration) else f"{duration:.3f}s"
-    )
-    print(f"estimated loss duration:  {duration_text}")
-    validation = result.validation
-    print(
-        f"validation: transitions={validation.transition_count} "
-        f"asymmetry={validation.transition_asymmetry:.3f} "
-        f"violations={validation.violations}"
-    )
-    _print_degraded_summary(result, None)
+    _print_estimate(result)
     return 0
 
 
@@ -553,18 +593,28 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_validate(args: argparse.Namespace) -> int:
-    from repro.obs.schema import validate_metrics_document, validate_trace_file
-
     import json
 
-    if not (
-        args.metrics
-        or args.trace
-        or args.audit
-        or args.export
-        or args.bench
-        or args.controller
-    ):
+    from repro.live.controller import validate_controller_file
+    from repro.obs.bench import validate_bench_document
+    from repro.obs.export import validate_export_file
+    from repro.obs.schema import (
+        validate_audit_document,
+        validate_metrics_document,
+        validate_trace_file,
+    )
+
+    # (path, validator, whether the validator takes the parsed JSON document
+    # rather than the path), in the order the files are checked.
+    inputs = (
+        (args.metrics, validate_metrics_document, True),
+        (args.trace, validate_trace_file, False),
+        (args.audit, validate_audit_document, True),
+        (args.export, validate_export_file, False),
+        (args.bench, validate_bench_document, True),
+        (args.controller, validate_controller_file, False),
+    )
+    if not any(path for path, _, _ in inputs):
         print(
             "error: nothing to validate — give a metrics file and/or "
             "--trace/--audit/--export/--bench/--controller",
@@ -572,71 +622,24 @@ def _cmd_obs_validate(args: argparse.Namespace) -> int:
         )
         return 2
     failures = 0
-    if args.metrics:
-        try:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.metrics}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.metrics}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        problems = validate_metrics_document(document)
+    for path, validate, parsed in inputs:
+        if not path:
+            continue
+        subject = path
+        if parsed:
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    subject = json.load(handle)
+            except OSError as exc:
+                print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+                return 2
+            except json.JSONDecodeError as exc:
+                print(f"error: {path}: invalid JSON ({exc.msg})", file=sys.stderr)
+                return 2
+        problems = validate(subject)
         for problem in problems:
-            print(f"{args.metrics}: {problem}", file=sys.stderr)
+            print(f"{path}: {problem}", file=sys.stderr)
         failures += len(problems)
-    if args.trace:
-        trace_problems = validate_trace_file(args.trace)
-        for problem in trace_problems:
-            print(f"{args.trace}: {problem}", file=sys.stderr)
-        failures += len(trace_problems)
-    if args.audit:
-        from repro.obs.schema import validate_audit_document
-
-        try:
-            with open(args.audit, "r", encoding="utf-8") as handle:
-                audit_doc = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.audit}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.audit}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        audit_problems = validate_audit_document(audit_doc)
-        for problem in audit_problems:
-            print(f"{args.audit}: {problem}", file=sys.stderr)
-        failures += len(audit_problems)
-    if args.export:
-        from repro.obs.export import validate_export_file
-
-        export_problems = validate_export_file(args.export)
-        for problem in export_problems:
-            print(f"{args.export}: {problem}", file=sys.stderr)
-        failures += len(export_problems)
-    if args.bench:
-        from repro.obs.bench import validate_bench_document
-
-        try:
-            with open(args.bench, "r", encoding="utf-8") as handle:
-                bench_doc = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read {args.bench}: {exc}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.bench}: invalid JSON ({exc.msg})", file=sys.stderr)
-            return 2
-        bench_problems = validate_bench_document(bench_doc)
-        for problem in bench_problems:
-            print(f"{args.bench}: {problem}", file=sys.stderr)
-        failures += len(bench_problems)
-    if args.controller:
-        from repro.live.controller import validate_controller_file
-
-        controller_problems = validate_controller_file(args.controller)
-        for problem in controller_problems:
-            print(f"{args.controller}: {problem}", file=sys.stderr)
-        failures += len(controller_problems)
     if failures:
         print(f"validation FAILED: {failures} problem(s)", file=sys.stderr)
         return 1
@@ -733,8 +736,9 @@ def _live_budget(args: argparse.Namespace):
     )
 
 
-def _print_live_result(run, args: argparse.Namespace) -> int:
-    """Shared output path for ``live send`` and ``live loopback``."""
+def _print_live_result(run, args: argparse.Namespace, metrics, tracer) -> int:
+    """Shared output path for ``live send`` and ``live loopback``: the
+    result, then the artifacts."""
     stats = run.stats
     spec = run.spec
     print(
@@ -748,20 +752,7 @@ def _print_live_result(run, args: argparse.Namespace) -> int:
     )
     if stats.stopped:
         print(f"degraded: stopped early ({stats.stopped}); partial estimate")
-    result = run.result
-    print(f"estimated loss frequency: {result.frequency:.4f}")
-    duration = result.duration_seconds
-    duration_text = (
-        "n/a (no transitions observed)" if math.isnan(duration) else f"{duration:.3f}s"
-    )
-    print(f"estimated loss duration:  {duration_text}")
-    validation = result.validation
-    print(
-        f"validation: transitions={validation.transition_count} "
-        f"asymmetry={validation.transition_asymmetry:.3f} "
-        f"violations={validation.violations}"
-    )
-    _print_degraded_summary(result, None)
+    _print_estimate(run.result)
     if run.reflector is not None:
         summary = run.reflector
         print(
@@ -775,28 +766,17 @@ def _print_live_result(run, args: argparse.Namespace) -> int:
             "receiver cross-check: estimated loss frequency: "
             f"{run.receiver_result.frequency:.4f}"
         )
-    return 0
-
-
-def _finish_live_obs(run, metrics, tracer, args: argparse.Namespace) -> None:
-    if args.metrics_out:
-        write_metrics_document(args.metrics_out, metrics, run.manifest)
-        print(f"metrics written to {args.metrics_out}")
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_out)
-        print(f"trace written to {args.trace_out}")
+    _write_run_obs(args, metrics, tracer, run.manifest)
     if args.save:
         print(f"trace saved to {args.save}")
+    return 0
 
 
 def _cmd_live_send(args: argparse.Namespace) -> int:
     from repro.live import live_send
 
-    metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing-live", scenario="live-send", seed=args.seed)
-        if args.trace_out
-        else None
+    metrics, tracer = _run_obs(
+        args, tool="badabing-live", scenario="live-send", seed=args.seed
     )
     run = live_send(
         args.host,
@@ -809,9 +789,7 @@ def _cmd_live_send(args: argparse.Namespace) -> int:
         trace_path=args.save or None,
         handle_sigint=True,
     )
-    status = _print_live_result(run, args)
-    _finish_live_obs(run, metrics, tracer, args)
-    return status
+    return _print_live_result(run, args, metrics, tracer)
 
 
 def _fleet_policy(args: argparse.Namespace):
@@ -862,15 +840,12 @@ def _add_fleet_policy_arguments(sub: argparse.ArgumentParser) -> None:
 def _cmd_live_reflect(args: argparse.Namespace) -> int:
     from repro.live import live_reflect
 
-    metrics = (
-        MetricsRegistry() if (args.metrics_out or _export_requested(args)) else None
-    )
-    exporter = _build_exporter(
-        args, metrics, meta={"tool": "badabing-reflector", "mode": args.mode}
-    )
-    print(f"reflecting on {args.host}:{args.port} (mode={args.mode}) — Ctrl-C to stop")
-    _announce_exporter(exporter, args)
-    try:
+    with _long_run(
+        args,
+        {"tool": "badabing-reflector", "mode": args.mode},
+        header=f"reflecting on {args.host}:{args.port} (mode={args.mode}) "
+        "— Ctrl-C to stop",
+    ) as (metrics, exporter):
         protocol = live_reflect(
             host=args.host,
             port=args.port,
@@ -884,9 +859,6 @@ def _cmd_live_reflect(args: argparse.Namespace) -> int:
             handle_sigint=True,
             exporter=exporter,
         )
-    finally:
-        if exporter is not None:
-            exporter.close()
     print(
         f"served {protocol.sessions_admitted} session(s): "
         f"received={protocol.probes_received_total} "
@@ -900,22 +872,15 @@ def _cmd_live_reflect(args: argparse.Namespace) -> int:
             f"evicted={protocol.evicted} "
             f"rate_limited={protocol.rate_limited_total}"
         )
-    if args.metrics_out and metrics is not None:
-        write_metrics_document(args.metrics_out, metrics, None)
-        print(f"metrics written to {args.metrics_out}")
-    if args.export_out:
-        print(f"export snapshots written to {args.export_out}")
+    _print_written(args)
     return 0
 
 
 def _cmd_live_loopback(args: argparse.Namespace) -> int:
     from repro.live import live_loopback
 
-    metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = (
-        Tracer(tool="badabing-live", scenario="live-loopback", seed=args.seed)
-        if args.trace_out
-        else None
+    metrics, tracer = _run_obs(
+        args, tool="badabing-live", scenario="live-loopback", seed=args.seed
     )
     run = live_loopback(
         config=_live_config(args),
@@ -927,24 +892,15 @@ def _cmd_live_loopback(args: argparse.Namespace) -> int:
         trace_path=args.save or None,
         handle_sigint=True,
     )
-    status = _print_live_result(run, args)
-    _finish_live_obs(run, metrics, tracer, args)
-    return status
+    return _print_live_result(run, args, metrics, tracer)
 
 
 def _cmd_live_fleet(args: argparse.Namespace) -> int:
     from repro.live import fleet_loopback
 
-    metrics = (
-        MetricsRegistry() if (args.metrics_out or _export_requested(args)) else None
-    )
-    exporter = _build_exporter(
-        args,
-        metrics,
-        meta={"tool": "badabing-fleet", "sessions": args.sessions},
-    )
-    _announce_exporter(exporter, args)
-    try:
+    with _long_run(
+        args, {"tool": "badabing-fleet", "sessions": args.sessions}
+    ) as (metrics, exporter):
         soak = fleet_loopback(
             _live_config(args),
             n_sessions=args.sessions,
@@ -956,9 +912,6 @@ def _cmd_live_fleet(args: argparse.Namespace) -> int:
             stagger_seconds=args.stagger,
             exporter=exporter,
         )
-    finally:
-        if exporter is not None:
-            exporter.close()
     failed = [outcome for outcome in soak.outcomes if not outcome.ok]
     print(
         f"fleet soak: {len(soak.outcomes)} session(s), "
@@ -983,11 +936,7 @@ def _cmd_live_fleet(args: argparse.Namespace) -> int:
         )
     for outcome in failed:
         print(f"  {outcome.describe()}", file=sys.stderr)
-    if args.metrics_out and metrics is not None:
-        write_metrics_document(args.metrics_out, metrics, None)
-        print(f"metrics written to {args.metrics_out}")
-    if args.export_out:
-        print(f"export snapshots written to {args.export_out}")
+    _print_written(args)
     if failed or soak.wire_errors:
         print("fleet soak FAILED", file=sys.stderr)
         return 1
@@ -1092,21 +1041,13 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         round_slots=args.round_slots,
         min_session_slots=args.min_session_slots,
     )
-    metrics = (
-        MetricsRegistry() if (args.metrics_out or _export_requested(args)) else None
-    )
-    exporter = _build_exporter(
+    with _long_run(
         args,
-        metrics,
-        meta={"tool": "badabing-fleet-controller", "paths": len(targets)},
+        {"tool": "badabing-fleet-controller", "paths": len(targets)},
+        header=f"fleet controller: {len(targets)} path(s), budget {args.budget} "
+        f"slots, rebalance every {args.rebalance_interval}s (seed {args.seed})",
         default_rules=default_fleet_rules() + controller_alert_rules(),
-    )
-    print(
-        f"fleet controller: {len(targets)} path(s), budget {args.budget} slots, "
-        f"rebalance every {args.rebalance_interval}s (seed {args.seed})"
-    )
-    _announce_exporter(exporter, args)
-    try:
+    ) as (metrics, exporter):
         result = fleet_run(
             targets,
             policy=policy,
@@ -1118,9 +1059,6 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             max_wall_seconds=args.max_wall_seconds or None,
             fleet_policy=_fleet_policy(args),
         )
-    finally:
-        if exporter is not None:
-            exporter.close()
     print(
         f"{'path':<16} {'F_hat':>8} {'dF':>9} {'D_hat':>8} "
         f"{'rounds':>6} {'slots':>6} {'busy':>4} conv"
@@ -1154,13 +1092,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         print(f"digest match: {'yes' if result.digest_match else 'NO'}")
     for outcome in failed:
         print(f"  {outcome.describe()}", file=sys.stderr)
-    if args.controller_out:
-        print(f"controller events written to {args.controller_out}")
-    if args.metrics_out and metrics is not None:
-        write_metrics_document(args.metrics_out, metrics, None)
-        print(f"metrics written to {args.metrics_out}")
-    if args.export_out:
-        print(f"export snapshots written to {args.export_out}")
+    _print_written(args)
     if failed or (result.merged_digest and not result.digest_match):
         print("fleet run FAILED", file=sys.stderr)
         return 1
@@ -1191,12 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--seed", type=int, default=1)
     measure.add_argument("--improved", action="store_true", help="use the §5.3 improved algorithm")
     measure.add_argument("--save", default="", help="save the measurement trace (JSONL)")
-    measure.add_argument(
-        "--faults",
-        choices=sorted(_FAULT_PROFILES),
-        default="none",
-        help="inject a named fault profile on the measured path",
-    )
+    _add_faults_argument(measure, "inject a named fault profile on the measured path")
     measure.add_argument(
         "--audit-out",
         default="",
@@ -1281,23 +1208,12 @@ def build_parser() -> argparse.ArgumentParser:
     live_commands = live.add_subparsers(dest="live_command", required=True)
 
     def _add_live_probe_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--p", type=float, default=0.3, help="per-slot probe probability")
-        sub.add_argument("--slot", type=float, default=0.005, help="slot width in seconds")
+        _add_probe_arguments(sub)
         sub.add_argument(
             "--duration", type=float, default=30.0, help="measurement seconds (sets N)"
         )
         sub.add_argument(
             "--slots", type=int, default=0, help="number of slots (overrides --duration)"
-        )
-        sub.add_argument("--packets", type=int, default=3, help="packets per probe train")
-        sub.add_argument("--size", type=int, default=600, help="probe size in bytes")
-        sub.add_argument("--alpha", type=float, default=0.1, help="§6.1 delay fraction")
-        sub.add_argument(
-            "--tau", type=float, default=0.080, help="§6.1 loss proximity window (s)"
-        )
-        sub.add_argument("--seed", type=int, default=1)
-        sub.add_argument(
-            "--improved", action="store_true", help="use the §5.3 improved algorithm"
         )
         sub.add_argument(
             "--max-packets", type=int, default=0, help="stop after this many probe packets"
@@ -1324,11 +1240,8 @@ def build_parser() -> argparse.ArgumentParser:
     live_reflect.add_argument(
         "--mode", choices=("echo", "sink"), default="echo", help="echo probes or only record"
     )
-    live_reflect.add_argument(
-        "--faults",
-        choices=sorted(_FAULT_PROFILES),
-        default="none",
-        help="emulate forward-path loss with a named fault profile",
+    _add_faults_argument(
+        live_reflect, "emulate forward-path loss with a named fault profile"
     )
     live_reflect.add_argument("--seed", type=int, default=1, help="impairment seed")
     _add_fleet_policy_arguments(live_reflect)
@@ -1354,11 +1267,8 @@ def build_parser() -> argparse.ArgumentParser:
         "loopback", help="run sender and reflector in-process over 127.0.0.1"
     )
     _add_live_probe_arguments(live_loopback)
-    live_loopback.add_argument(
-        "--faults",
-        choices=sorted(_FAULT_PROFILES),
-        default="none",
-        help="emulate forward-path loss at the in-process reflector",
+    _add_faults_argument(
+        live_loopback, "emulate forward-path loss at the in-process reflector"
     )
     live_loopback.set_defaults(handler=_cmd_live_loopback)
 
@@ -1376,11 +1286,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="stagger session starts by this many seconds each",
     )
-    live_fleet.add_argument(
-        "--faults",
-        choices=sorted(_FAULT_PROFILES),
-        default="none",
-        help="emulate forward-path loss at the in-process reflector",
+    _add_faults_argument(
+        live_fleet, "emulate forward-path loss at the in-process reflector"
     )
     _add_fleet_policy_arguments(live_fleet)
     _add_export_arguments(live_fleet)
@@ -1442,18 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="write controller events (repro.live.controller/1 NDJSON) here",
     )
-    fleet_run.add_argument("--p", type=float, default=0.3, help="per-slot probe probability")
-    fleet_run.add_argument("--slot", type=float, default=0.005, help="slot width in seconds")
-    fleet_run.add_argument("--packets", type=int, default=3, help="packets per probe train")
-    fleet_run.add_argument("--size", type=int, default=600, help="probe size in bytes")
-    fleet_run.add_argument("--alpha", type=float, default=0.1, help="§6.1 delay fraction")
-    fleet_run.add_argument(
-        "--tau", type=float, default=0.080, help="§6.1 loss proximity window (s)"
-    )
-    fleet_run.add_argument(
-        "--improved", action="store_true", help="use the §5.3 improved algorithm"
-    )
-    fleet_run.add_argument("--seed", type=int, default=1)
+    _add_probe_arguments(fleet_run)
     fleet_run.add_argument(
         "--metrics-out",
         default="",

@@ -57,7 +57,8 @@ from repro.profiling import active_profiler, profiling
 #: drain and the tools' logs are complete.
 DRAIN_TIME = 2.0
 
-#: The heartbeat emits at most this many progress events per run.
+#: A traced run's simulation runs in this many legs, each followed by one
+#: ``sim.heartbeat`` trace event.
 HEARTBEAT_BEATS = 8
 
 #: Registry of named scenarios usable by tables, benches, and the CLI.
@@ -78,49 +79,6 @@ def build_testbed(
     sim = Simulator(seed=seed, metrics=metrics)
     testbed = DumbbellTestbed(sim, config=config, sample_interval=sample_interval)
     return sim, testbed
-
-
-def _build_manifest(
-    tool: str, seed: int, sim: Simulator, *configs: Any
-) -> RunManifest:
-    """Provenance record for one finished run (see repro.obs.manifest)."""
-    from repro import __version__
-
-    return RunManifest(
-        tool=tool,
-        seed=seed,
-        config_digest=config_digest(*configs),
-        package_version=__version__,
-        sim_seconds=sim.now,
-        wall_seconds=sim.wall_seconds,
-        events_processed=sim.events_processed,
-        metrics=summarize_snapshot(sim.metrics.snapshot()),
-    )
-
-
-def _start_heartbeat(sim: Simulator, tracer: Optional[Tracer], until: float) -> None:
-    """Emit periodic sim-time progress events while a run executes.
-
-    A long simulation is silent between the ``sim.run`` span's start and
-    end; the heartbeat marks simulated-time progress (and the event count
-    at each beat) so a stalled run is distinguishable from a slow one in
-    the trace. A no-op without a tracer — the simulation schedule gains no
-    extra events, preserving clean-path determinism.
-    """
-    if tracer is None or until <= 0:
-        return
-    interval = until / HEARTBEAT_BEATS
-
-    def beat() -> None:
-        tracer.event(
-            "sim.heartbeat",
-            sim_time=round(sim.now, 9),
-            events_processed=sim.events_processed,
-        )
-        if sim.now + interval <= until:
-            sim.schedule(interval, beat)
-
-    sim.schedule(interval, beat)
 
 
 def apply_scenario(
@@ -268,25 +226,97 @@ def install_faults(
     return injector
 
 
-def _check_event_budget(
-    sim: Simulator, dispatched: int, max_events: Optional[int], needed_until: float
-) -> None:
-    """Raise a structured BudgetExhaustedError when a budgeted run starved.
+def _finish_run(
+    name: str,
+    sim: Simulator,
+    testbed: Any,
+    tool: Any,
+    traffic: Any,
+    injector: Optional[FaultInjector],
+    until: float,
+    extract_truth: Callable[[], GroundTruth],
+    configs: Tuple[Any, ...],
+    max_events: Optional[int],
+    tracer: Optional[Tracer],
+    keep: Optional[Dict[str, Any]],
+) -> Tuple[Any, GroundTruth]:
+    """Run a wired experiment to ``until``; return (tool result, truth).
 
-    Shared by every runner entry point so zing/multihop cells starve the
-    same way BADABING ones do — as a typed, retryable failure carrying the
-    progress made, never as a silent truncation.
+    The finishing path of every runner: run under the ``max_events``
+    budget (a starved run raises a structured, retryable
+    :class:`~repro.errors.BudgetExhaustedError`), extract truth, build the
+    result, audit a BADABING result while the registry is enabled, attach
+    the manifest (its tool is ``name``) and fill ``keep``.
+
+    Untraced, the simulation is one ``sim.run(until, max_events)`` call.
+    Traced, it runs in :data:`HEARTBEAT_BEATS` legs sharing the budget,
+    each followed by a ``sim.heartbeat`` event (simulated time, events so
+    far), so the trace tells a stalled run from a slow one while the run
+    dispatches exactly the events an untraced one does.
     """
-    if not sim.budget_exhausted:
-        return
-    raise BudgetExhaustedError(
-        f"event budget exhausted after {dispatched} events at "
-        f"t={sim.now:.3f}s (budget {max_events}, needed to reach "
-        f"t={needed_until:.3f}s)",
-        events_processed=dispatched,
-        sim_time=sim.now,
-        budget=max_events,
+    legs = [until]
+    if tracer is not None:
+        legs = [until * beat / HEARTBEAT_BEATS for beat in range(1, HEARTBEAT_BEATS)] + legs
+    left = max_events
+    dispatched = 0
+    with trace_span(tracer, "sim.run", until=until):
+        for leg_end in legs:
+            ran = sim.run(until=leg_end, max_events=left)
+            dispatched += ran
+            if sim.budget_exhausted or (ran == left and sim.has_runnable(until)):
+                raise BudgetExhaustedError(
+                    f"event budget exhausted after {dispatched} events at "
+                    f"t={sim.now:.3f}s (budget {max_events}, needed to reach "
+                    f"t={until:.3f}s)",
+                    events_processed=dispatched,
+                    sim_time=sim.now,
+                    budget=max_events,
+                )
+            if left is not None:
+                # Spent exactly with nothing runnable by ``until``: the
+                # remaining legs run unbudgeted and only advance the clock.
+                left = left - ran or None
+            if tracer is not None:
+                tracer.event(
+                    "sim.heartbeat",
+                    sim_time=round(sim.now, 9),
+                    events_processed=dispatched,
+                )
+    with trace_span(tracer, "truth.extract"):
+        truth = extract_truth()
+    # A real collector knows when it was down (its own restart log); feed
+    # the known outage windows back so those slots degrade coverage instead
+    # of masquerading as loss episodes.
+    outages = injector.profile.outage_windows if injector is not None else ()
+    with trace_span(tracer, "tool.result"):
+        result = tool.result(blackout_windows=list(outages)) if outages else tool.result()
+    if isinstance(result, BadabingResult) and sim.metrics.enabled:
+        with trace_span(tracer, "audit.build"):
+            result.audit = audit_run(
+                result, truth, tool.schedule, start=tool.start, tool=name
+            )
+            publish_audit(sim.metrics, result.audit, start=tool.start)
+    from repro import __version__
+
+    result.manifest = RunManifest(
+        tool=name,
+        seed=sim.seed,
+        config_digest=config_digest(*configs),
+        package_version=__version__,
+        sim_seconds=sim.now,
+        wall_seconds=sim.wall_seconds,
+        events_processed=sim.events_processed,
+        metrics=summarize_snapshot(sim.metrics.snapshot()),
     )
+    if keep is not None:
+        keep.update(
+            sim=sim,
+            testbed=testbed,
+            tool=tool,
+            traffic=traffic,
+            fault_injector=injector,
+        )
+    return result, truth
 
 
 def run_badabing(
@@ -349,38 +379,22 @@ def run_badabing(
         tracer=tracer,
     )
     injector = install_faults(sim, testbed, faults, anchor=warmup)
-    _start_heartbeat(sim, tracer, until=tool.end_time + DRAIN_TIME)
-    with trace_span(tracer, "sim.run", until=tool.end_time + DRAIN_TIME):
-        dispatched = sim.run(until=tool.end_time + DRAIN_TIME, max_events=max_events)
-    _check_event_budget(sim, dispatched, max_events, tool.end_time + DRAIN_TIME)
-    with trace_span(tracer, "truth.extract"):
-        truth = compute_ground_truth(testbed, probe_cfg.slot, warmup, config.duration)
-    # A real collector knows when it was down (its own restart log); feed
-    # the known outage windows back so those slots degrade coverage instead
-    # of masquerading as loss episodes.
-    blackouts = (
-        list(injector.profile.outage_windows)
-        if injector is not None and injector.profile.outage_windows
-        else None
+    return _finish_run(
+        "badabing",
+        sim,
+        testbed,
+        tool,
+        traffic,
+        injector,
+        until=tool.end_time + DRAIN_TIME,
+        extract_truth=lambda: compute_ground_truth(
+            testbed, probe_cfg.slot, warmup, config.duration
+        ),
+        configs=(config, testbed.config),
+        max_events=max_events,
+        tracer=tracer,
+        keep=keep,
     )
-    with trace_span(tracer, "tool.result"):
-        result = tool.result(blackout_windows=blackouts)
-    if sim.metrics.enabled:
-        with trace_span(tracer, "audit.build"):
-            result.audit = audit_run(result, truth, tool.schedule, start=warmup)
-            publish_audit(sim.metrics, result.audit, start=warmup)
-    result.manifest = _build_manifest(
-        "badabing", seed, sim, config, testbed.config
-    )
-    if keep is not None:
-        keep.update(
-            sim=sim,
-            testbed=testbed,
-            tool=tool,
-            traffic=traffic,
-            fault_injector=injector,
-        )
-    return result, truth
 
 
 def run_badabing_multihop(
@@ -441,30 +455,29 @@ def run_badabing_multihop(
     tool = BadabingTool(
         sim, testbed.probe_sender, testbed.probe_receiver, config, start=warmup
     )
-    dispatched = sim.run(until=tool.end_time + DRAIN_TIME, max_events=max_events)
-    _check_event_budget(sim, dispatched, max_events, tool.end_time + DRAIN_TIME)
-    total_arrivals = sum(m.arrivals for m in testbed.hop_monitors)
-    total_drops = testbed.total_drops
-    loss_rate = (
-        total_drops / (total_arrivals + total_drops)
-        if total_arrivals + total_drops
-        else 0.0
-    )
-    truth = ground_truth_from_episodes(
-        testbed.path_episodes(), loss_rate, probe_cfg.slot, warmup, config.duration
-    )
-    result = tool.result()
-    if sim.metrics.enabled:
-        result.audit = audit_run(
-            result, truth, tool.schedule, start=warmup, tool="badabing-multihop"
+
+    def extract_truth() -> GroundTruth:
+        arrivals = sum(monitor.arrivals for monitor in testbed.hop_monitors)
+        drops = testbed.total_drops
+        loss_rate = drops / (arrivals + drops) if arrivals + drops else 0.0
+        return ground_truth_from_episodes(
+            testbed.path_episodes(), loss_rate, probe_cfg.slot, warmup, config.duration
         )
-        publish_audit(sim.metrics, result.audit, start=warmup)
-    result.manifest = _build_manifest(
-        "badabing-multihop", seed, sim, config, testbed.config
+
+    return _finish_run(
+        "badabing-multihop",
+        sim,
+        testbed,
+        tool,
+        traffic,
+        None,
+        until=tool.end_time + DRAIN_TIME,
+        extract_truth=extract_truth,
+        configs=(config, testbed.config),
+        max_events=max_events,
+        tracer=None,
+        keep=keep,
     )
-    if keep is not None:
-        keep.update(sim=sim, testbed=testbed, tool=tool, traffic=traffic)
-    return result, truth
 
 
 def run_zing(
@@ -504,19 +517,20 @@ def run_zing(
         duration=duration,
         start=warmup,
     )
-    with trace_span(tracer, "sim.run", until=warmup + duration + DRAIN_TIME):
-        dispatched = sim.run(
-            until=warmup + duration + DRAIN_TIME, max_events=max_events
-        )
-    _check_event_budget(sim, dispatched, max_events, warmup + duration + DRAIN_TIME)
-    with trace_span(tracer, "truth.extract"):
-        truth = compute_ground_truth(testbed, slot, warmup, duration)
-    with trace_span(tracer, "tool.result"):
-        result = tool.result()
-    result.manifest = _build_manifest("zing", seed, sim, testbed.config)
-    if keep is not None:
-        keep.update(sim=sim, testbed=testbed, tool=tool, traffic=traffic)
-    return result, truth
+    return _finish_run(
+        "zing",
+        sim,
+        testbed,
+        tool,
+        traffic,
+        None,
+        until=warmup + duration + DRAIN_TIME,
+        extract_truth=lambda: compute_ground_truth(testbed, slot, warmup, duration),
+        configs=(testbed.config,),
+        max_events=max_events,
+        tracer=tracer,
+        keep=keep,
+    )
 
 
 # ---------------------------------------------------------------------------

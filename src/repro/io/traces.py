@@ -365,6 +365,20 @@ def _parse_probe_line(line: str) -> ProbeRecord:
     return ProbeRecord(slot, send_time, n_packets, owds, owd_before_loss)
 
 
+def _header_experiment(start: Any, length: Any) -> Experiment:
+    """One ``[start, length]`` pair of a trace header.
+
+    The batch stages read experiments into int64 columns, so a fractional
+    start would be truncated; type() is exact, because JSON true/false
+    decode to bool, an int subclass.
+    """
+    if type(start) is not int or type(length) is not int:
+        raise ValueError(
+            f"experiment start and length must be integers, got {start!r}, {length!r}"
+        )
+    return Experiment(start, length)
+
+
 def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
     """Read a measurement trace written by :func:`save_measurement`.
 
@@ -411,7 +425,7 @@ def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
                 n_slots=header["n_slots"],
                 p=header["p"],
                 experiments=[
-                    Experiment(start, length)
+                    _header_experiment(start, length)
                     for start, length in header["experiments"]
                 ],
                 probes=[],
@@ -552,8 +566,22 @@ def load_measurement_binary(path: PathLike) -> Measurement:
             f"{path}: unsupported binary trace version {header.get('version')!r}"
         )
     try:
+        # The checks the JSONL loader makes per probe line, per column: slots
+        # and counts are integers, times finite. NaN in owd_before_loss
+        # encodes None.
+        if any(
+            arrays[name].dtype.kind not in "iu"
+            for name in ("exp_start", "exp_length", "slot", "n_packets")
+        ):
+            raise ValueError("experiment, slot and count columns must be integers")
+        if not (
+            np.isfinite(arrays["send_time"]).all()
+            and np.isfinite(arrays["owds_flat"]).all()
+            and not np.isinf(arrays["owd_before_loss"]).any()
+        ):
+            raise ValueError("send_time, owds_flat and owd_before_loss must be finite")
         experiments = [
-            Experiment(int(start), int(length))
+            Experiment(start, length)
             for start, length in zip(
                 arrays["exp_start"].tolist(), arrays["exp_length"].tolist()
             )
@@ -563,9 +591,9 @@ def load_measurement_binary(path: PathLike) -> Measurement:
         obl = arrays["owd_before_loss"].tolist()
         probes = [
             ProbeRecord(
-                slot=int(slot),
+                slot=slot,
                 send_time=send_time,
-                n_packets=int(n_packets),
+                n_packets=n_packets,
                 owds=tuple(owds_flat[offsets[index] : offsets[index + 1]]),
                 owd_before_loss=None if math.isnan(obl[index]) else obl[index],
             )
@@ -577,7 +605,7 @@ def load_measurement_binary(path: PathLike) -> Measurement:
                 )
             )
         ]
-    except (KeyError, IndexError, ConfigurationError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ConfigurationError) as exc:
         raise TraceFormatError(f"{path}: malformed binary trace body: {exc!r}") from exc
     return Measurement(
         slot_width=header["slot_width"],

@@ -110,10 +110,6 @@ class StreamingMonitor:
             else None
         )
 
-    @property
-    def fed_experiments(self) -> int:
-        return self.validator.n_experiments
-
     def observe(self, records: List[ProbeRecord], elapsed: float) -> None:
         """Fold the finalized prefix of ``records`` into the live view."""
         horizon = elapsed - self.config.marking.tau - self.margin

@@ -77,11 +77,6 @@ class SenderStats:
     def completed(self) -> bool:
         return not self.stopped
 
-    @property
-    def degraded_reason(self) -> str:
-        """Alias making degraded-run handling read naturally at call sites."""
-        return self.stopped
-
 
 class SenderProtocol(asyncio.DatagramProtocol):
     """Sender-side datagram handler: acks and echoes land here."""

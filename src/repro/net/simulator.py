@@ -189,7 +189,7 @@ class Simulator:
                 event.callback(*event.args)
                 dispatched += 1
                 if dispatched >= budget:
-                    self.budget_exhausted = self._has_runnable(horizon)
+                    self.budget_exhausted = self.has_runnable(horizon)
                     break
         finally:
             self._running = False
@@ -202,7 +202,7 @@ class Simulator:
             self._now = until
         return dispatched
 
-    def _has_runnable(self, horizon: float) -> bool:
+    def has_runnable(self, horizon: float) -> bool:
         """Whether any live event at or before ``horizon`` remains queued."""
         return any(
             not event.cancelled and when <= horizon for when, _, event in self._queue

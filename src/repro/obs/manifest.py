@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 #: Schema identifier stamped into exported manifests.
 MANIFEST_SCHEMA = "repro.obs.manifest/1"
@@ -120,10 +120,3 @@ def summarize_snapshot(snapshot: Dict[str, Any]) -> Dict[str, float]:
         name = key.split("{", 1)[0]
         totals[f"{name}.count"] = totals.get(f"{name}.count", 0) + hist["count"]
     return totals
-
-
-def attach_manifest(result: Any, manifest: Optional[RunManifest]) -> Any:
-    """Best-effort attachment of a manifest onto a result object."""
-    if manifest is not None and hasattr(result, "manifest"):
-        result.manifest = manifest
-    return result

@@ -96,21 +96,6 @@ class Tracer:
                 record["attrs"] = {**record.get("attrs", {}), **attrs}
             self.spans.append(record)
 
-    # ---------------------------------------------------------------- summary
-    def span_summary(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate finished spans by name: count, total and max duration."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            if span["type"] != "span" or span["dur"] is None:
-                continue
-            entry = summary.setdefault(
-                span["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            entry["count"] += 1
-            entry["total_s"] += span["dur"]
-            entry["max_s"] = max(entry["max_s"], span["dur"])
-        return summary
-
     # ----------------------------------------------------------------- export
     def lines(self) -> Iterator[Dict[str, Any]]:
         """The records that :meth:`write_jsonl` would write, in order."""

@@ -15,6 +15,7 @@ episode of duration ``L``.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
@@ -70,10 +71,12 @@ class EpisodicCbrTraffic:
         start: float = 0.5,
         rng_label: str = "episodic-cbr",
     ):
-        # `not x > ...` also rejects NaN.
-        if not overload_factor > 1.0:
+        # `not x > ...` also rejects NaN; an infinite burst rate would send
+        # every burst packet at one simulated instant.
+        if not (overload_factor > 1.0 and math.isfinite(overload_factor)):
             raise ConfigurationError(
-                f"overload_factor must exceed 1.0 to cause loss: {overload_factor}"
+                "overload_factor must be finite and exceed 1.0 to cause loss: "
+                f"{overload_factor}"
             )
         if not episode_durations or not all(d > 0 for d in episode_durations):
             raise ConfigurationError("episode durations must be positive")

@@ -21,6 +21,7 @@ the TCP model:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -77,9 +78,12 @@ class HarpoonWebTraffic:
     ):
         if not senders or not receivers:
             raise ConfigurationError("need at least one sender and one receiver")
-        # `not x > ...` also rejects NaN.
-        if not session_rate > 0:
-            raise ConfigurationError("session_rate must be positive")
+        # `not x > ...` also rejects NaN; an infinite session rate draws
+        # zero inter-arrival gaps, so simulated time would never advance.
+        if not (session_rate > 0 and math.isfinite(session_rate)):
+            raise ConfigurationError(
+                f"session_rate must be positive and finite: {session_rate}"
+            )
         if not pareto_shape > 1.0:
             raise ConfigurationError(
                 "pareto_shape must exceed 1 so mean file size is finite"

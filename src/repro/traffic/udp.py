@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -60,11 +61,12 @@ class UdpSource(Application):
         start: float = 0.0,
         flow: Optional[str] = None,
     ):
-        # `not x > 0` / `not x >= 0` also reject NaN.
+        # `not x > 0` / `not x >= 0` also reject NaN; an infinite rate has a
+        # zero gap, so every tick would land at the same simulated time.
         if not packet_size > 0:
             raise ConfigurationError(f"packet_size must be positive: {packet_size}")
-        if not rate_bps >= 0:
-            raise ConfigurationError(f"rate must be non-negative: {rate_bps}")
+        if not (rate_bps >= 0 and math.isfinite(rate_bps)):
+            raise ConfigurationError(f"rate must be non-negative and finite: {rate_bps}")
         super().__init__(sim, host, "udp")
         self.dst = dst
         self.dst_port = dst_port
@@ -84,8 +86,8 @@ class UdpSource(Application):
 
     def set_rate(self, rate_bps: float) -> None:
         """Change the sending rate; takes effect immediately."""
-        if not rate_bps >= 0:
-            raise ConfigurationError(f"rate must be non-negative: {rate_bps}")
+        if not (rate_bps >= 0 and math.isfinite(rate_bps)):
+            raise ConfigurationError(f"rate must be non-negative and finite: {rate_bps}")
         was_paused = self.rate_bps == 0
         self.rate_bps = rate_bps
         if rate_bps == 0:

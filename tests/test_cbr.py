@@ -109,3 +109,18 @@ def test_deterministic_given_seed():
 def test_nan_parameters_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         build(**kwargs)
+
+
+def test_infinite_overload_rejected():
+    # An infinite burst rate would send a whole burst at one simulated
+    # instant; the scenario entry point reaches the same check.
+    from repro.experiments.runner import apply_scenario
+
+    with pytest.raises(ConfigurationError):
+        build(overload_factor=math.inf)
+    sim = Simulator(seed=1)
+    with pytest.raises(ConfigurationError):
+        apply_scenario(
+            sim, DumbbellTestbed(sim), "episodic_cbr",
+            overload_factor=math.inf, mean_spacing=0.5,
+        )

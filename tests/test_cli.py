@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import HEARTBEAT_BEATS
 
 
 def test_list_command(capsys):
@@ -109,3 +110,46 @@ def test_live_loopback_rejects_bad_slot_before_dividing(extra, capsys):
     # OverflowError traceback before any socket was opened.
     assert main(["live", "loopback", *extra]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [None, "not json {"], ids=["missing", "non-json"])
+@pytest.mark.parametrize("flag", [None, "--audit", "--bench"], ids=["metrics", "audit", "bench"])
+def test_obs_validate_refuses_unreadable_json_input(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["obs", "validate", *([flag] if flag else []), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}" if content is None else f"error: {path}")
+
+
+def test_zing_metrics_and_trace_pass_obs_validate(tmp_path, capsys):
+    metrics, trace = tmp_path / "zing.json", tmp_path / "zing.jsonl"
+    assert main([
+        "zing", "episodic_cbr", "--rate", "20", "--size", "64", "--duration", "5",
+        "--profile", "smoke", "--metrics-out", str(metrics), "--trace-out", str(trace),
+    ]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"metrics written to {metrics}", f"trace written to {trace}"]
+    assert main(["obs", "validate", str(metrics), "--trace", str(trace)]) == 0
+    beats = [line for line in trace.read_text().splitlines() if '"sim.heartbeat"' in line]
+    assert len(beats) == HEARTBEAT_BEATS
+
+
+def test_live_loopback_names_its_artifacts_after_the_result(tmp_path, capsys):
+    metrics, trace, saved = (
+        tmp_path / "live.json", tmp_path / "live-spans.jsonl", tmp_path / "probes.jsonl"
+    )
+    assert main([
+        "live", "loopback", "--seed", "1", "--duration", "1", "--p", "0.5",
+        "--size", "64", "--metrics-out", str(metrics), "--trace-out", str(trace),
+        "--save", str(saved),
+    ]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        f"metrics written to {metrics}",
+        f"trace written to {trace}",
+        f"trace saved to {saved}",
+    ]
+    assert any(line.startswith("estimated loss frequency") for line in out[:-3])
+    assert metrics.exists() and trace.exists() and saved.exists()

@@ -117,3 +117,16 @@ def test_deterministic_given_seed():
 def test_nan_parameters_rejected(field):
     with pytest.raises(ConfigurationError):
         build(**{field: math.nan})
+
+
+def test_infinite_session_rate_rejected():
+    # An infinite session rate draws zero inter-arrival gaps, so simulated
+    # time would never advance; `harpoon_web` derives the rate from its
+    # load factor and reaches the same check.
+    from repro.experiments.runner import apply_scenario
+
+    with pytest.raises(ConfigurationError):
+        build(session_rate=math.inf)
+    sim = Simulator(seed=1)
+    with pytest.raises(ConfigurationError):
+        apply_scenario(sim, DumbbellTestbed(sim), "harpoon_web", load_factor=math.inf)

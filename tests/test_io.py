@@ -316,3 +316,72 @@ def test_non_integer_or_non_finite_probe_field_is_corrupt(
     assert err.startswith("error:")
     assert "line 3" in err
 
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [[0.5, 2], [1, 2.0], [True, 2]],
+    ids=["fractional-start", "float-length", "bool-start"],
+)
+def test_non_integer_header_experiment_is_rejected(
+    finished_tool, tmp_path, capsys, experiment
+):
+    # The batch stages would truncate a fractional start to its slot and
+    # re-estimate without error.
+    from repro.cli import main
+    from repro.errors import TraceFormatError
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, finished_tool)
+    header = json.loads(open(path).readline())
+    header["experiments"][0] = experiment
+    _corrupt_lines(path, [1], json.dumps(header) + "\n")
+    with pytest.raises(TraceFormatError) as excinfo:
+        load_measurement(path)
+    assert excinfo.value.line_number == 1
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _set_entry(index, value, dtype=None):
+    def change(column):
+        column = column.astype(dtype or column.dtype)
+        column[index] = value
+        return column
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("send_time", _set_entry(5, math.nan), "finite"),
+        ("owds_flat", _set_entry(5, math.inf), "finite"),
+        ("owd_before_loss", _set_entry(5, -math.inf), "finite"),
+        ("exp_start", _set_entry(0, 0.5, float), "integers"),
+        ("exp_length", lambda column: column.astype(bool), "integers"),
+        ("slot", _set_entry(0, 1.5, float), "integers"),
+    ],
+    ids=["nan-send-time", "inf-owd", "inf-obl", "fractional-exp-start",
+         "bool-exp-length", "fractional-slot"],
+)
+def test_binary_trace_column_with_bad_value_is_rejected(
+    finished_tool, tmp_path, name, change, message
+):
+    # The JSONL loader refuses these per line; at the NPZ boundary a NaN
+    # send time passed the sort check and re-estimation returned an F-hat.
+    import numpy as np
+
+    from repro.errors import TraceFormatError
+    from repro.io import load_measurement_binary, save_measurement_binary
+
+    path = tmp_path / "trace.npz"
+    save_measurement_binary(path, finished_tool)
+    assert load_measurement_binary(path).probes
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays[name] = change(arrays[name])
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    with pytest.raises(TraceFormatError, match=message):
+        load_measurement_binary(path)

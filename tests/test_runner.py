@@ -6,8 +6,10 @@ import pytest
 
 from repro.analysis.episodes import LossEpisode
 from repro.config import MarkingConfig, TestbedConfig
-from repro.errors import ConfigurationError
+from repro.errors import BudgetExhaustedError, ConfigurationError
 from repro.experiments.runner import (
+    DRAIN_TIME,
+    HEARTBEAT_BEATS,
     GroundTruth,
     build_testbed,
     compute_ground_truth,
@@ -15,6 +17,7 @@ from repro.experiments.runner import (
     run_badabing,
     run_zing,
 )
+from repro.obs import MetricsRegistry, Tracer, snapshot_digest
 
 
 def test_build_testbed_is_seed_deterministic():
@@ -136,3 +139,93 @@ def test_run_with_custom_testbed_config():
         testbed_config=config, warmup=2.0,
     )
     assert math.isnan(result.duration_seconds) or result.duration_seconds >= 0
+
+
+#: A short BADABING cell (about 20,000 events) for the tracing tests.
+TRACED_CELL = dict(
+    scenario="episodic_cbr",
+    p=0.3,
+    n_slots=1500,
+    seed=3,
+    warmup=2.0,
+    scenario_kwargs={"mean_spacing": 2.0},
+)
+
+
+def _heartbeats(tracer):
+    return [span for span in tracer.spans if span["name"] == "sim.heartbeat"]
+
+
+def test_tracing_does_not_change_the_run():
+    untraced_registry = MetricsRegistry()
+    untraced, _ = run_badabing(**TRACED_CELL, metrics=untraced_registry)
+    traced_registry = MetricsRegistry()
+    tracer = Tracer()
+    traced, _ = run_badabing(**TRACED_CELL, metrics=traced_registry, tracer=tracer)
+    assert snapshot_digest(traced_registry.snapshot()) == snapshot_digest(
+        untraced_registry.snapshot()
+    )
+    events = untraced.manifest.events_processed
+    assert traced.manifest.events_processed == events
+    beats = _heartbeats(tracer)
+    assert len(beats) == HEARTBEAT_BEATS
+    assert all(beat["type"] == "event" and beat["parent"] == "sim.run" for beat in beats)
+    assert beats[-1]["attrs"]["events_processed"] == events
+    # A budget the untraced run exactly fits also suffices traced.
+    exact, _ = run_badabing(**TRACED_CELL, tracer=Tracer(), max_events=events)
+    assert exact.manifest.events_processed == events
+
+
+def test_traced_and_untraced_runs_starve_alike():
+    tracer = Tracer()
+    result, _ = run_badabing(**TRACED_CELL, tracer=tracer)
+    beats = [beat["attrs"] for beat in _heartbeats(tracer)]
+    ends = [beat["events_processed"] for beat in beats]
+    leg_end = {beat["events_processed"]: beat["sim_time"] for beat in beats}
+    assert ends[-1] == result.manifest.events_processed
+    between = [(low + high) // 2 for low, high in zip([0] + ends, ends)]
+    budgets = sorted({b for b in ends[:-1] + between if 1 <= b < ends[-1]})
+    assert len(budgets) >= HEARTBEAT_BEATS
+    for budget in budgets:
+        errors = []
+        for run_tracer in (None, Tracer()):
+            with pytest.raises(BudgetExhaustedError) as excinfo:
+                run_badabing(**TRACED_CELL, tracer=run_tracer, max_events=budget)
+            errors.append(excinfo.value)
+        untraced, traced = errors
+        assert untraced.events_processed == traced.events_processed == budget
+        if budget in leg_end:
+            # The budget ran out exactly at a leg's end: the traced run's
+            # clock stands at that end, the untraced one at the last event.
+            assert traced.sim_time == pytest.approx(leg_end[budget])
+            assert untraced.sim_time <= traced.sim_time
+        else:
+            assert traced.sim_time == untraced.sim_time
+
+
+def test_traced_run_zing_records_runner_spans_and_heartbeats():
+    tracer = Tracer()
+    result, _ = run_zing(
+        "episodic_cbr",
+        mean_interval=0.05,
+        packet_size=64,
+        duration=5.0,
+        seed=1,
+        warmup=2.0,
+        tracer=tracer,
+    )
+    records = list(tracer.lines())[1:]
+    assert [r["name"] for r in records if r["type"] == "span"] == [
+        "testbed.build",
+        "traffic.start",
+        "sim.run",
+        "truth.extract",
+        "tool.result",
+    ]
+    beats = _heartbeats(tracer)
+    assert len(beats) == HEARTBEAT_BEATS
+    assert all(beat["parent"] == "sim.run" for beat in beats)
+    assert beats[-1]["attrs"] == {
+        "sim_time": 2.0 + 5.0 + DRAIN_TIME,
+        "events_processed": result.manifest.events_processed,
+    }

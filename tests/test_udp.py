@@ -150,3 +150,17 @@ def test_nan_parameters_rejected(rate_bps, packet_size, new_rate):
                            rate_bps=rate_bps, packet_size=packet_size,
                            dst_port=1)
         source.set_rate(new_rate)
+
+
+def test_infinite_rate_rejected():
+    # An infinite rate has a zero gap: every tick would be scheduled at the
+    # current time, so simulated time would never advance.
+    sim, testbed = make_pair()
+    with pytest.raises(ConfigurationError):
+        UdpSource(sim, testbed.traffic_senders[0], "trcv0", rate_bps=math.inf,
+                  packet_size=1500, dst_port=1)
+    source = UdpSource(sim, testbed.traffic_senders[1], "trcv1", rate_bps=1e6,
+                       packet_size=100, dst_port=1)
+    with pytest.raises(ConfigurationError):
+        source.set_rate(math.inf)
+    assert source.rate_bps == 1e6
