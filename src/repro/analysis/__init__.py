@@ -1,45 +1,31 @@
-"""Ground-truth analysis: loss episodes, slot discretization, statistics."""
+"""Ground-truth analysis: loss episodes, slot discretization, statistics.
 
-from repro.analysis.episodes import (
-    LossEpisode,
-    extract_episodes,
-    episodes_from_monitor,
-    merge_episode_lists,
-)
-from repro.analysis.delays import (
-    DelayDistribution,
-    congestion_delay_ratio,
-    delay_floor,
-    owd_samples,
-    queueing_delays,
-    summarize_delays,
-)
-from repro.analysis.slots import (
-    congested_slot_count,
-    congested_slot_set,
-    slot_of,
-    true_frequency,
-    make_in_episode,
-)
-from repro.analysis.stats import SummaryStats, summarize, mean_std
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "LossEpisode",
-    "extract_episodes",
-    "episodes_from_monitor",
-    "merge_episode_lists",
-    "DelayDistribution",
-    "congestion_delay_ratio",
-    "delay_floor",
-    "owd_samples",
-    "queueing_delays",
-    "summarize_delays",
-    "congested_slot_count",
-    "congested_slot_set",
-    "slot_of",
-    "true_frequency",
-    "make_in_episode",
-    "SummaryStats",
-    "summarize",
-    "mean_std",
-]
+from repro import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "LossEpisode": "episodes",
+        "extract_episodes": "episodes",
+        "episodes_from_monitor": "episodes",
+        "merge_episode_lists": "episodes",
+        "DelayDistribution": "delays",
+        "congestion_delay_ratio": "delays",
+        "delay_floor": "delays",
+        "owd_samples": "delays",
+        "queueing_delays": "delays",
+        "summarize_delays": "delays",
+        "congested_slot_count": "slots",
+        "congested_slot_set": "slots",
+        "slot_of": "slots",
+        "true_frequency": "slots",
+        "make_in_episode": "slots",
+        "SummaryStats": "stats",
+        "summarize": "stats",
+        "mean_std": "stats",
+    },
+)

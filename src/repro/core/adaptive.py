@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
-from repro.core.badabing import BadabingResult, BadabingTool
+from repro.core.badabing import BadabingTool
+from repro.core.result import BadabingResult
 from repro.core.validation import SequentialValidator
 from repro.errors import ConfigurationError
 from repro.net.node import Host

@@ -423,7 +423,7 @@ def materialize_outcomes(
     """Build the per-object outcome list from packed keys (interop only).
 
     The batch estimator fold never needs these objects; they exist for
-    consumers of :class:`~repro.core.badabing.BadabingResult` (audit
+    consumers of :class:`~repro.core.result.BadabingResult` (audit
     convergence replays, trace round-trips) that still speak per-object.
     """
     bits_for_key = [entry[1] if entry else None for entry in _KEY_TABLE]
@@ -500,7 +500,7 @@ def run_slot_pipeline(
 ) -> BatchPipelineResult:
     """Marking → y_i assembly → pattern fold over arrays, start to finish.
 
-    The batch twin of :func:`repro.core.badabing.assemble_result`'s middle:
+    The batch twin of :func:`repro.core.result.assemble_result`'s middle:
     everything between a joined probe stream and the §5 estimators runs as
     array passes, and the resulting pattern counter plugs into the same
     estimator/validator arithmetic the scalar path uses.

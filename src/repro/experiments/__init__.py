@@ -1,35 +1,29 @@
-"""Paper-reproduction harness: scenarios, runner, tables, and figures."""
+"""Paper-reproduction harness: scenarios, runner, tables, and figures.
 
-from repro.experiments.runner import (
-    GroundTruth,
-    RunBudget,
-    RunOutcome,
-    build_testbed,
-    apply_scenario,
-    compute_ground_truth,
-    ground_truth_from_episodes,
-    default_marking_for,
-    install_faults,
-    run_badabing,
-    run_badabing_multihop,
-    run_protected,
-    run_zing,
-    sweep_badabing,
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`). :class:`RunBudget` and :class:`RunOutcome` come from
+the leaf :mod:`repro.experiments.budget`, which the live path imports
+without the simulator.
+"""
+
+from repro import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "GroundTruth": "runner",
+        "RunBudget": "budget",
+        "RunOutcome": "budget",
+        "build_testbed": "runner",
+        "apply_scenario": "runner",
+        "compute_ground_truth": "runner",
+        "ground_truth_from_episodes": "runner",
+        "default_marking_for": "runner",
+        "install_faults": "runner",
+        "run_badabing": "runner",
+        "run_badabing_multihop": "runner",
+        "run_protected": "runner",
+        "run_zing": "runner",
+        "sweep_badabing": "runner",
+    },
 )
-
-__all__ = [
-    "GroundTruth",
-    "RunBudget",
-    "RunOutcome",
-    "build_testbed",
-    "apply_scenario",
-    "compute_ground_truth",
-    "ground_truth_from_episodes",
-    "default_marking_for",
-    "install_faults",
-    "run_badabing",
-    "run_badabing_multihop",
-    "run_protected",
-    "run_zing",
-    "sweep_badabing",
-]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EstimationError, LiveSessionError
-from repro.experiments.runner import RunOutcome
+from repro.experiments.budget import RunOutcome
 from repro.live.controller import (
     ControllerPolicy,
     FleetController,

@@ -20,7 +20,7 @@ remaining cells are resubmitted — the sweep always returns its full
 shape. A sweep-level ``max_wall_seconds`` deadline cancels cells that
 have not started yet and reports them as budget-exhausted; in-flight
 cells are never interrupted (matching
-:class:`~repro.experiments.runner.RunBudget.max_wall_seconds` semantics).
+:class:`~repro.experiments.budget.RunBudget.max_wall_seconds` semantics).
 
 The worker entry point is a top-level function and payloads are plain
 picklable dataclasses, so the engine is safe under the ``spawn`` start

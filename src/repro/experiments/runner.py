@@ -21,23 +21,22 @@ import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.episodes import LossEpisode, episodes_from_monitor
 from repro.analysis.slots import true_frequency
 from repro.analysis.stats import mean_std
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig, TestbedConfig
-from repro.core.badabing import BadabingResult, BadabingTool
+from repro.core.badabing import BadabingTool
 from repro.core.clock import AffineClock
 from repro.core.jitter import JitterModel
+from repro.core.result import BadabingResult
 from repro.core.zing import ZingResult, ZingTool
-from repro.errors import (
-    BudgetExhaustedError,
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-)
+from repro.errors import BudgetExhaustedError, ConfigurationError
 from repro.experiments import scenarios as _scenarios
+# Defined in a leaf module that the live path imports without the
+# simulator; callers keep importing them from here.
+from repro.experiments.budget import RunBudget, RunOutcome, check_max_events
 from repro.net.faults import FaultInjector, FaultProfile, resolve_fault_profile
 from repro.net.simulator import Simulator, _stable_seed
 from repro.net.topology import DumbbellTestbed
@@ -243,7 +242,9 @@ def _finish_run(
     """Run a wired experiment to ``until``; return (tool result, truth).
 
     The finishing path of every runner: run under the ``max_events``
-    budget (a starved run raises a structured, retryable
+    budget (below one it is refused with
+    :class:`~repro.errors.ConfigurationError`, as :class:`RunBudget` does;
+    a starved run raises a structured, retryable
     :class:`~repro.errors.BudgetExhaustedError`), extract truth, build the
     result, audit a BADABING result while the registry is enabled, attach
     the manifest (its tool is ``name``) and fill ``keep``.
@@ -254,6 +255,7 @@ def _finish_run(
     far), so the trace tells a stalled run from a slow one while the run
     dispatches exactly the events an untraced one does.
     """
+    check_max_events(max_events)
     legs = [until]
     if tracer is not None:
         legs = [until * beat / HEARTBEAT_BEATS for beat in range(1, HEARTBEAT_BEATS)] + legs
@@ -536,86 +538,6 @@ def run_zing(
 # ---------------------------------------------------------------------------
 # Protected runs: budgets, retries, and structured outcomes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunBudget:
-    """Resource limits for one sweep cell.
-
-    Attributes
-    ----------
-    max_events:
-        Simulator event budget per attempt (None = unlimited). A run that
-        exhausts it raises :class:`~repro.errors.BudgetExhaustedError`,
-        which the protected runner turns into a structured failure.
-    max_attempts:
-        Total tries per cell. Attempts after the first rerun with a fresh
-        seed derived deterministically from the original, so one unlucky
-        draw (or a budget-busting schedule) gets a bounded second chance.
-    max_wall_seconds:
-        Soft wall-clock budget across attempts: once exceeded, no further
-        retries are made (the in-flight attempt is never interrupted).
-    retry_on:
-        Exception types that trigger a retry; any other exception is
-        captured without retrying.
-    """
-
-    max_events: Optional[int] = None
-    max_attempts: int = 2
-    max_wall_seconds: Optional[float] = None
-    retry_on: Tuple[Type[BaseException], ...] = (SimulationError,)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_events is not None and self.max_events < 1:
-            raise ConfigurationError(
-                f"max_events must be >= 1, got {self.max_events}"
-            )
-
-
-@dataclass
-class RunOutcome:
-    """What happened to one protected run: a result *or* a captured error.
-
-    A sweep over many cells returns a list of these; failed cells carry
-    the error class, message, and traceback instead of killing the sweep.
-    """
-
-    label: str
-    ok: bool
-    result: Optional[Any] = None
-    truth: Optional[GroundTruth] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    error_traceback: Optional[str] = None
-    attempts: int = 0
-    seeds: Tuple[int, ...] = ()
-    budget_exhausted: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return not self.ok
-
-    def describe(self) -> str:
-        """One-line summary for sweep logs."""
-        if self.ok:
-            return f"{self.label}: ok ({self.attempts} attempt(s))"
-        return (
-            f"{self.label}: FAILED after {self.attempts} attempt(s) — "
-            f"{self.error_type}: {self.error}"
-        )
-
-    def unwrap(self) -> Tuple[Any, Optional[GroundTruth]]:
-        """Return (result, truth), re-raising the captured error if failed."""
-        if not self.ok:
-            raise ReproError(
-                f"{self.label}: {self.error_type}: {self.error}"
-            )
-        return self.result, self.truth
-
 
 def derive_retry_seed(seed: int, attempt: int) -> int:
     """Deterministic fresh seed for retry ``attempt`` (1-based) of ``seed``."""

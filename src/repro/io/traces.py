@@ -27,17 +27,20 @@ from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro import profiling as _profiling
 from repro.config import MarkingConfig
-from repro.core.badabing import BadabingResult, BadabingTool
 from repro.core.estimators import estimate_from_counter
 from repro.core.marking import MarkingResult
 from repro.core.records import ExperimentOutcome, ProbeRecord
+from repro.core.result import BadabingResult
 from repro.core.schedule import Experiment
 from repro.core.validation import report_from_counter
 from repro.errors import ConfigurationError, TraceFormatError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.badabing import BadabingTool
 
 FORMAT_NAME = "badabing-trace"
 FORMAT_VERSION = 1
@@ -312,6 +315,9 @@ def save_measurement(
     metadata: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Write a measurement trace. Accepts a Measurement or a live tool."""
+    # The tool runs on the simulator, which offline use never loads.
+    from repro.core.badabing import BadabingTool
+
     if isinstance(measurement, BadabingTool):
         measurement = measurement_from_tool(measurement, metadata)
     elif metadata:
@@ -485,6 +491,7 @@ def save_measurement_binary(
     """
     import numpy as np
 
+    from repro.core.badabing import BadabingTool
     from repro.obs.artifacts import ensure_parent_dir
 
     if isinstance(measurement, BadabingTool):

@@ -26,99 +26,62 @@ network using asyncio UDP endpoints and the monotonic wall clock:
   in :mod:`repro.experiments.fleetrun`).
 
 Estimation never forks: live records funnel into the same
-:func:`repro.core.badabing.assemble_result` path as simulator runs, so a
-live result is a plain :class:`~repro.core.badabing.BadabingResult` that
+:func:`repro.core.result.assemble_result` path as simulator runs, so a
+live result is a plain :class:`~repro.core.result.BadabingResult` that
 ``analyze``, ``obs audit``, and the report tooling consume unchanged.
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`); no live module imports the runner, the traffic
+models or the simulated topology.
 """
 
-from repro.live.controller import (
-    CONTROLLER_SCHEMA,
-    ControllerPolicy,
-    FleetController,
-    LaunchDirective,
-    PathTarget,
-    read_controller_events,
-    shard_label,
-    validate_controller_file,
-    validate_controller_record,
-)
-from repro.live.fleet import (
-    FleetLoopbackResult,
-    FleetPolicy,
-    FleetReflectorProtocol,
-    SessionReport,
-    TokenBucket,
-    fleet_loopback,
-    run_fleet_loopback,
-    start_fleet_reflector,
-)
-from repro.live.impair import ReceiverImpairment, bernoulli_drop, build_impairment
-from repro.live.reflector import ReflectorProtocol, ReflectorSession, start_reflector
-from repro.live.runtime import (
-    LiveRunResult,
-    ReflectorSummary,
-    StreamingMonitor,
-    live_loopback,
-    live_reflect,
-    live_send,
-    run_live_loopback,
-    run_live_reflector,
-    run_live_send,
-)
-from repro.live.sender import LiveSender, SenderProtocol, SenderStats, open_sender
-from repro.live.session import (
-    config_from_spec,
-    make_session_id,
-    probe_records_from_arrivals,
-    probe_records_from_logs,
-    schedule_from_spec,
-    spec_for,
-)
-from repro.live.wire import ProbeHeader, SessionSpec
+from repro import _lazy
 
-__all__ = [
-    "CONTROLLER_SCHEMA",
-    "ControllerPolicy",
-    "FleetController",
-    "LaunchDirective",
-    "PathTarget",
-    "read_controller_events",
-    "shard_label",
-    "validate_controller_file",
-    "validate_controller_record",
-    "FleetLoopbackResult",
-    "FleetPolicy",
-    "FleetReflectorProtocol",
-    "LiveRunResult",
-    "LiveSender",
-    "SessionReport",
-    "TokenBucket",
-    "fleet_loopback",
-    "run_fleet_loopback",
-    "start_fleet_reflector",
-    "ProbeHeader",
-    "ReceiverImpairment",
-    "ReflectorProtocol",
-    "ReflectorSession",
-    "ReflectorSummary",
-    "SenderProtocol",
-    "SenderStats",
-    "SessionSpec",
-    "StreamingMonitor",
-    "bernoulli_drop",
-    "build_impairment",
-    "config_from_spec",
-    "live_loopback",
-    "live_reflect",
-    "live_send",
-    "make_session_id",
-    "open_sender",
-    "probe_records_from_arrivals",
-    "probe_records_from_logs",
-    "run_live_loopback",
-    "run_live_reflector",
-    "run_live_send",
-    "schedule_from_spec",
-    "spec_for",
-    "start_reflector",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "CONTROLLER_SCHEMA": "controller",
+        "ControllerPolicy": "controller",
+        "FleetController": "controller",
+        "LaunchDirective": "controller",
+        "PathTarget": "controller",
+        "read_controller_events": "controller",
+        "shard_label": "controller",
+        "validate_controller_file": "controller",
+        "validate_controller_record": "controller",
+        "FleetLoopbackResult": "fleet",
+        "FleetPolicy": "fleet",
+        "FleetReflectorProtocol": "fleet",
+        "LiveRunResult": "runtime",
+        "LiveSender": "sender",
+        "SessionReport": "fleet",
+        "TokenBucket": "fleet",
+        "fleet_loopback": "fleet",
+        "run_fleet_loopback": "fleet",
+        "start_fleet_reflector": "fleet",
+        "ProbeHeader": "wire",
+        "ReceiverImpairment": "impair",
+        "ReflectorProtocol": "reflector",
+        "ReflectorSession": "reflector",
+        "ReflectorSummary": "runtime",
+        "SenderProtocol": "sender",
+        "SenderStats": "sender",
+        "SessionSpec": "wire",
+        "StreamingMonitor": "runtime",
+        "bernoulli_drop": "impair",
+        "build_impairment": "impair",
+        "config_from_spec": "session",
+        "live_loopback": "runtime",
+        "live_reflect": "runtime",
+        "live_send": "runtime",
+        "make_session_id": "session",
+        "open_sender": "sender",
+        "probe_records_from_arrivals": "session",
+        "probe_records_from_logs": "session",
+        "run_live_loopback": "runtime",
+        "run_live_reflector": "runtime",
+        "run_live_send": "runtime",
+        "schedule_from_spec": "session",
+        "spec_for": "session",
+        "start_reflector": "reflector",
+    },
+)

@@ -587,7 +587,7 @@ class FleetController:
 
         ``frequency`` is the session's F̂ (NaN tolerated — skipped),
         ``validation`` its §5.4 report; both come straight off a
-        :class:`~repro.core.badabing.BadabingResult`. ``shard`` is the
+        :class:`~repro.core.result.BadabingResult`. ``shard`` is the
         session's detached metrics registry, retained for the canonical
         ``(path, round)``-ordered merge.
         """

@@ -15,7 +15,7 @@ two floats and an integer; an evicted session collapses to one LRU slot):
 * **Idle eviction** — :meth:`FleetReflectorProtocol.sweep` (driven by the
   :func:`watchdog` task) expires sessions with no traffic past a deadline
   derived from their own spec (slot width × slots + grace), emitting a
-  partial receiver-side :class:`~repro.core.badabing.BadabingResult`
+  partial receiver-side :class:`~repro.core.result.BadabingResult`
   whose :class:`~repro.core.records.CoverageReport` accounts for the
   missing tail rather than dropping the tenant's data (``live.evicted``).
 * **Backpressure** — a per-tenant :class:`TokenBucket` sized from the
@@ -29,7 +29,7 @@ two floats and an integer; an evicted session collapses to one LRU slot):
 
 :func:`run_fleet_loopback` composes all of it with N concurrent in-process
 senders over 127.0.0.1 — the many-session soak CI runs — and returns one
-:class:`~repro.experiments.runner.RunOutcome` per session, mirroring the
+:class:`~repro.experiments.budget.RunOutcome` per session, mirroring the
 sweep engine's structured-failure shape.
 """
 
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import BadabingConfig, MarkingConfig
-from repro.core.badabing import BadabingResult
+from repro.core.result import BadabingResult
 from repro.errors import ConfigurationError, EstimationError, LiveSessionError
-from repro.experiments.runner import RunBudget, RunOutcome
+from repro.experiments.budget import RunBudget, RunOutcome
 from repro.live import wire
 from repro.live.reflector import ReflectorProtocol, ReflectorSession
 from repro.net.faults import FaultProfile
@@ -453,7 +453,7 @@ async def run_fleet_loopback(
     and estimate are byte-identical to a serial single-session loopback
     of the same (config, seed) — the fleet invariant CI asserts. Sender
     failures (e.g. admission retries exhausted) become structured failed
-    :class:`~repro.experiments.runner.RunOutcome` rows, never exceptions.
+    :class:`~repro.experiments.budget.RunOutcome` rows, never exceptions.
 
     ``exporter`` (a :class:`~repro.obs.export.TelemetryExporter` over
     ``registry``) is started once the reflector is listening and stopped

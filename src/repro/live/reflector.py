@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MarkingConfig
-from repro.core.badabing import BadabingResult, assemble_result
 from repro.core.clock import Clock, MonotonicClock, rebase_probe_owds
 from repro.core.records import ProbeRecord
+from repro.core.result import BadabingResult, assemble_result
 from repro.errors import LiveSessionError, WireFormatError
 from repro.live import wire
 from repro.live.impair import ReceiverImpairment
@@ -410,7 +410,7 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
 
         This is how a sink-mode deployment reports: rebuild the schedule
         from the session spec, rebase the cross-clock delays, and feed the
-        exact same :func:`~repro.core.badabing.assemble_result` path the
+        exact same :func:`~repro.core.result.assemble_result` path the
         simulator and the sender use.
         """
         session = self._session(session_id)

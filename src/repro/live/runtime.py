@@ -7,8 +7,8 @@ the CLI exposes:
 
 * :func:`run_live_send` — drive a measurement against a remote reflector
   and return a :class:`LiveRunResult` whose ``result`` is a plain
-  :class:`~repro.core.badabing.BadabingResult`, built by the *same*
-  :func:`~repro.core.badabing.assemble_result` path as simulator runs;
+  :class:`~repro.core.result.BadabingResult`, built by the *same*
+  :func:`~repro.core.result.assemble_result` path as simulator runs;
 * :func:`run_live_reflector` — serve sessions until stopped or idle;
 * :func:`run_live_loopback` — both ends in one process over 127.0.0.1,
   with the deterministic :mod:`repro.live.impair` shim standing in for a
@@ -31,14 +31,14 @@ from math import floor
 from typing import Dict, List, Optional, Union
 
 from repro.config import BadabingConfig, MarkingConfig
-from repro.core.badabing import BadabingResult, assemble_result
 from repro.core.clock import Clock, MonotonicClock, rebase_probe_owds
 from repro.core.estimators import frequency_from_counter
 from repro.core.records import ExperimentOutcome, ProbeRecord
+from repro.core.result import BadabingResult, assemble_result
 from repro.core.schedule import GeometricSchedule
 from repro.core.validation import SequentialValidator
 from repro.errors import EstimationError, LiveSessionError
-from repro.experiments.runner import RunBudget
+from repro.experiments.budget import RunBudget
 from repro.io.traces import TraceWriter
 from repro.live.fleet import (
     WATCHDOG_INTERVAL,
@@ -77,7 +77,7 @@ class StreamingMonitor:
     once), the running F̂ is appended to the ``live.frequency`` series,
     and the finalized records are flushed to the trace writer. The final
     authoritative result is still recomputed from scratch by
-    :func:`~repro.core.badabing.assemble_result` — this monitor is the
+    :func:`~repro.core.result.assemble_result` — this monitor is the
     live view, not a second estimator.
     """
 
@@ -280,7 +280,7 @@ async def run_live_send(
     :class:`~repro.errors.EstimationError` when the session ended before
     producing a single usable experiment. A stop (Ctrl-C with
     ``handle_sigint``, the ``stop_event``, or an exhausted
-    :class:`~repro.experiments.runner.RunBudget`) degrades gracefully:
+    :class:`~repro.experiments.budget.RunBudget`) degrades gracefully:
     outstanding echoes are drained and the partial record stream is
     estimated with reduced coverage.
     """

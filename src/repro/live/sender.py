@@ -6,9 +6,9 @@ The sender is the live twin of the simulator's ``_ProbeSender`` +
 never accumulate sleep error), logs send stamps, collects the
 reflector's echoes into an arrival log keyed by ``(slot, index)``, and
 leaves estimation entirely to the shared
-:func:`repro.core.badabing.assemble_result` path.
+:func:`repro.core.result.assemble_result` path.
 
-Budgets reuse :class:`~repro.experiments.runner.RunBudget` semantics
+Budgets reuse :class:`~repro.experiments.budget.RunBudget` semantics
 translated to the live domain — ``max_events`` caps probe *packets*,
 ``max_wall_seconds`` caps the session's wall time — but a live run
 **degrades instead of aborting**: hitting a budget (or Ctrl-C via the
@@ -28,7 +28,7 @@ from repro.core.clock import Clock, MonotonicClock
 from repro.core.records import ProbeRecord
 from repro.core.schedule import GeometricSchedule
 from repro.errors import LiveSessionError, WireFormatError
-from repro.experiments.runner import RunBudget
+from repro.experiments.budget import RunBudget
 from repro.live import wire
 from repro.live.session import SeqKey, probe_records_from_logs
 from repro.obs.metrics import MetricsRegistry, NullRegistry

@@ -14,41 +14,33 @@ This subpackage is the substrate that replaces the paper's hardware testbed
   establish ground truth,
 * :mod:`repro.net.faults` — deterministic, composable fault injection
   (drop, bursty loss, reordering, duplication, flaps, collector outages).
+
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`).
 """
 
-from repro.net.simulator import Simulator
-from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, REDQueue
-from repro.net.link import Link
-from repro.net.node import Host, Router, Node
-from repro.net.topology import Topology, DumbbellTestbed
-from repro.net.multihop import MultiHopTestbed
-from repro.net.monitor import QueueMonitor, QueueSampler
-from repro.net.faults import (
-    FAULT_PROFILES,
-    FaultInjector,
-    FaultProfile,
-    FaultStats,
-    resolve_fault_profile,
-)
+from repro import _lazy
 
-__all__ = [
-    "FAULT_PROFILES",
-    "FaultInjector",
-    "FaultProfile",
-    "FaultStats",
-    "resolve_fault_profile",
-    "Simulator",
-    "Packet",
-    "DropTailQueue",
-    "REDQueue",
-    "Link",
-    "Host",
-    "Router",
-    "Node",
-    "Topology",
-    "DumbbellTestbed",
-    "MultiHopTestbed",
-    "QueueMonitor",
-    "QueueSampler",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "FAULT_PROFILES": "faults",
+        "FaultInjector": "faults",
+        "FaultProfile": "faults",
+        "FaultStats": "faults",
+        "resolve_fault_profile": "faults",
+        "Simulator": "simulator",
+        "Packet": "packet",
+        "DropTailQueue": "queues",
+        "REDQueue": "queues",
+        "Link": "link",
+        "Host": "node",
+        "Router": "node",
+        "Node": "node",
+        "Topology": "topology",
+        "DumbbellTestbed": "topology",
+        "MultiHopTestbed": "multihop",
+        "QueueMonitor": "monitor",
+        "QueueSampler": "monitor",
+    },
+)

@@ -11,252 +11,118 @@ Four pieces, usable separately or together:
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seed, config digest, version, timings, headline metrics) attached to
   runner results.
-* :mod:`repro.obs.schema` — structural validators for the exported
-  artifacts (used by CI and ``badabing-sim obs validate``).
+* :mod:`repro.obs.schema` — the exported metrics document and structural
+  validators for every artifact (used by CI and
+  ``badabing-sim obs validate``).
 
-See DESIGN.md §8 for the span taxonomy and document schemas.
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`): the simulator imports :mod:`repro.obs.metrics`
+without loading the exporter, dashboard, alerts, bench or summary
+modules. See DESIGN.md §8 for the span taxonomy and document schemas.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
-import json
-from typing import Any, Dict, Optional
-
-from repro.obs.alerts import (
-    ALERT_RULES_SCHEMA,
-    AlertEvent,
-    AlertRule,
-    AlertRules,
-    controller_alert_rules,
-    default_fleet_rules,
-    load_alert_rules,
-    write_alert_rules,
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "Counter": "metrics",
+        "Gauge": "metrics",
+        "Histogram": "metrics",
+        "Series": "metrics",
+        "MetricsRegistry": "metrics",
+        "NullRegistry": "metrics",
+        "Tracer": "tracing",
+        "trace_span": "tracing",
+        "RunManifest": "manifest",
+        "config_digest": "manifest",
+        "summarize_snapshot": "manifest",
+        "merge_snapshots": "metrics",
+        "snapshot_digest": "metrics",
+        "scorecard_digest": "audit",
+        "render_summary": "summary",
+        "summary_document": "summary",
+        "validate_metrics_document": "schema",
+        "validate_trace_file": "schema",
+        "validate_trace_lines": "schema",
+        "load_metrics_document": "schema",
+        "write_metrics_document": "schema",
+        "metrics_document": "schema",
+        "EpisodeAudit": "audit",
+        "RunAudit": "audit",
+        "ScorecardRow": "audit",
+        "AccuracyScorecard": "audit",
+        "audit_episodes": "audit",
+        "audit_run": "audit",
+        "publish_audit": "audit",
+        "row_from_audit": "audit",
+        "scorecard_from_runs": "audit",
+        "audit_document": "audit",
+        "write_audit_document": "audit",
+        "load_audit_document": "schema",
+        "validate_audit_document": "schema",
+        "render_audit": "summary",
+        "render_scorecard": "summary",
+        "DEFAULT_BUCKETS": "metrics",
+        "RUN_LENGTH_BUCKETS": "metrics",
+        "METRICS_SCHEMA": "schema",
+        "MANIFEST_SCHEMA": "manifest",
+        "TRACE_SCHEMA": "tracing",
+        "AUDIT_SCHEMA": "audit",
+        "EXPORT_SCHEMA": "export",
+        "SESSIONS_SCHEMA": "export",
+        "ALERT_RULES_SCHEMA": "alerts",
+        "TelemetryExporter": "export",
+        "SnapshotWriter": "export",
+        "AlertRule": "alerts",
+        "AlertRules": "alerts",
+        "AlertEvent": "alerts",
+        "controller_alert_rules": "alerts",
+        "default_fleet_rules": "alerts",
+        "group_label_path": "summary",
+        "load_alert_rules": "alerts",
+        "write_alert_rules": "alerts",
+        "render_exposition": "export",
+        "parse_key": "export",
+        "rollup_sessions": "export",
+        "sessions_document": "export",
+        "read_export_records": "export",
+        "validate_export_record": "export",
+        "validate_export_file": "export",
+        "dashboard_lines": "dash",
+        "render_frame": "dash",
+        "replay_documents": "dash",
+        "fetch_sessions": "dash",
+        "document_from_export_record": "dash",
+        "render_grouped_summary": "summary",
+        "split_snapshot_by_label": "summary",
+        "split_snapshot_by_path": "summary",
+        "ensure_parent_dir": "artifacts",
+        "open_artifact": "artifacts",
+        # profiling + perf trajectory (DESIGN.md §14)
+        "PROFILE_SCHEMA": "profile",
+        "BENCH_SCHEMA": "bench",
+        "PIPELINE_STAGES": "profile",
+        "STAGE_BUCKETS": "profile",
+        "StageProfiler": "profile",
+        "NullProfiler": "profile",
+        "active_profiler": "profile",
+        "set_active_profiler": "profile",
+        "profiling": "profile",
+        "profile_stage": "profile",
+        "BenchRecorder": "bench",
+        "environment_fingerprint": "bench",
+        "peak_rss_bytes": "bench",
+        "make_bench_document": "bench",
+        "validate_bench_document": "bench",
+        "load_bench_document": "bench",
+        "write_bench_document": "bench",
+        "compare_bench_documents": "bench",
+        "render_bench_document": "bench",
+        "render_profile_document": "bench",
+        "render_stage_table": "bench",
+        "render_call_tree": "bench",
+        "slowest_spans": "summary",
+        "render_slowest_spans": "summary",
+    },
 )
-from repro.obs.artifacts import ensure_parent_dir, open_artifact
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchRecorder,
-    compare_bench_documents,
-    environment_fingerprint,
-    load_bench_document,
-    make_bench_document,
-    peak_rss_bytes,
-    render_bench_document,
-    render_call_tree,
-    render_profile_document,
-    render_stage_table,
-    validate_bench_document,
-    write_bench_document,
-)
-from repro.obs.audit import (
-    AUDIT_SCHEMA,
-    AccuracyScorecard,
-    EpisodeAudit,
-    RunAudit,
-    ScorecardRow,
-    audit_document,
-    audit_episodes,
-    audit_run,
-    publish_audit,
-    row_from_audit,
-    scorecard_digest,
-    scorecard_from_runs,
-    write_audit_document,
-)
-from repro.obs.dash import (
-    dashboard_lines,
-    document_from_export_record,
-    fetch_sessions,
-    render_frame,
-    replay_documents,
-)
-from repro.obs.export import (
-    EXPORT_SCHEMA,
-    SESSIONS_SCHEMA,
-    SnapshotWriter,
-    TelemetryExporter,
-    parse_key,
-    read_export_records,
-    render_exposition,
-    rollup_sessions,
-    sessions_document,
-    validate_export_file,
-    validate_export_record,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    RunManifest,
-    config_digest,
-    summarize_snapshot,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    RUN_LENGTH_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    Series,
-    merge_snapshots,
-    snapshot_digest,
-)
-from repro.obs.profile import (
-    PIPELINE_STAGES,
-    PROFILE_SCHEMA,
-    STAGE_BUCKETS,
-    NullProfiler,
-    StageProfiler,
-    active_profiler,
-    profile_stage,
-    profiling,
-    set_active_profiler,
-)
-from repro.obs.schema import (
-    METRICS_SCHEMA,
-    load_audit_document,
-    load_metrics_document,
-    validate_audit_document,
-    validate_metrics_document,
-    validate_trace_file,
-    validate_trace_lines,
-)
-from repro.obs.summary import (
-    group_label_path,
-    render_audit,
-    render_grouped_summary,
-    render_scorecard,
-    render_slowest_spans,
-    render_summary,
-    slowest_spans,
-    split_snapshot_by_label,
-    split_snapshot_by_path,
-    summary_document,
-)
-from repro.obs.tracing import TRACE_SCHEMA, Tracer, trace_span
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Series",
-    "MetricsRegistry",
-    "NullRegistry",
-    "Tracer",
-    "trace_span",
-    "RunManifest",
-    "config_digest",
-    "summarize_snapshot",
-    "merge_snapshots",
-    "snapshot_digest",
-    "scorecard_digest",
-    "render_summary",
-    "summary_document",
-    "validate_metrics_document",
-    "validate_trace_file",
-    "validate_trace_lines",
-    "load_metrics_document",
-    "write_metrics_document",
-    "metrics_document",
-    "EpisodeAudit",
-    "RunAudit",
-    "ScorecardRow",
-    "AccuracyScorecard",
-    "audit_episodes",
-    "audit_run",
-    "publish_audit",
-    "row_from_audit",
-    "scorecard_from_runs",
-    "audit_document",
-    "write_audit_document",
-    "load_audit_document",
-    "validate_audit_document",
-    "render_audit",
-    "render_scorecard",
-    "DEFAULT_BUCKETS",
-    "RUN_LENGTH_BUCKETS",
-    "METRICS_SCHEMA",
-    "MANIFEST_SCHEMA",
-    "TRACE_SCHEMA",
-    "AUDIT_SCHEMA",
-    "EXPORT_SCHEMA",
-    "SESSIONS_SCHEMA",
-    "ALERT_RULES_SCHEMA",
-    "TelemetryExporter",
-    "SnapshotWriter",
-    "AlertRule",
-    "AlertRules",
-    "AlertEvent",
-    "controller_alert_rules",
-    "default_fleet_rules",
-    "group_label_path",
-    "load_alert_rules",
-    "write_alert_rules",
-    "render_exposition",
-    "parse_key",
-    "rollup_sessions",
-    "sessions_document",
-    "read_export_records",
-    "validate_export_record",
-    "validate_export_file",
-    "dashboard_lines",
-    "render_frame",
-    "replay_documents",
-    "fetch_sessions",
-    "document_from_export_record",
-    "render_grouped_summary",
-    "split_snapshot_by_label",
-    "split_snapshot_by_path",
-    "ensure_parent_dir",
-    "open_artifact",
-    # profiling + perf trajectory (DESIGN.md §14)
-    "PROFILE_SCHEMA",
-    "BENCH_SCHEMA",
-    "PIPELINE_STAGES",
-    "STAGE_BUCKETS",
-    "StageProfiler",
-    "NullProfiler",
-    "active_profiler",
-    "set_active_profiler",
-    "profiling",
-    "profile_stage",
-    "BenchRecorder",
-    "environment_fingerprint",
-    "peak_rss_bytes",
-    "make_bench_document",
-    "validate_bench_document",
-    "load_bench_document",
-    "write_bench_document",
-    "compare_bench_documents",
-    "render_bench_document",
-    "render_profile_document",
-    "render_stage_table",
-    "render_call_tree",
-    "slowest_spans",
-    "render_slowest_spans",
-]
-
-
-def metrics_document(
-    registry: MetricsRegistry, manifest: Optional[RunManifest] = None
-) -> Dict[str, Any]:
-    """Assemble the exportable ``{"schema", "manifest", "metrics"}`` doc."""
-    return {
-        "schema": METRICS_SCHEMA,
-        "manifest": manifest.to_dict() if manifest is not None else None,
-        "metrics": registry.snapshot(),
-    }
-
-
-def write_metrics_document(
-    path,
-    registry: MetricsRegistry,
-    manifest: Optional[RunManifest] = None,
-) -> Dict[str, Any]:
-    """Write the combined manifest + snapshot JSON document to ``path``,
-    creating missing parent directories."""
-    document = metrics_document(registry, manifest)
-    with open_artifact(path, "metrics document") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return document

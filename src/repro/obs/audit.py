@@ -326,7 +326,7 @@ def audit_run(
 ) -> RunAudit:
     """Build the full accuracy audit for one finished BADABING run.
 
-    ``result`` is a :class:`~repro.core.badabing.BadabingResult` (anything
+    ``result`` is a :class:`~repro.core.result.BadabingResult` (anything
     with the same attributes works), ``truth`` a
     :class:`~repro.experiments.runner.GroundTruth`, and ``schedule`` the
     :class:`~repro.core.schedule.GeometricSchedule` the tool ran.

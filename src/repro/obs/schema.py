@@ -10,11 +10,13 @@ a malformed emitter fails the build, not a downstream dashboard.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ObservabilityError
+from repro.obs.artifacts import open_artifact
 from repro.obs.audit import AUDIT_SCHEMA, EPISODE_STATUSES
-from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TRACE_SCHEMA
 
 #: Schema identifier of the combined manifest+metrics document.
@@ -311,4 +313,29 @@ def load_metrics_document(path) -> Dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
     check(validate_metrics_document(document), str(path))
+    return document
+
+
+def metrics_document(
+    registry: MetricsRegistry, manifest: Optional[RunManifest] = None
+) -> Dict[str, Any]:
+    """Assemble the exportable ``{"schema", "manifest", "metrics"}`` doc."""
+    return {
+        "schema": METRICS_SCHEMA,
+        "manifest": manifest.to_dict() if manifest is not None else None,
+        "metrics": registry.snapshot(),
+    }
+
+
+def write_metrics_document(
+    path,
+    registry: MetricsRegistry,
+    manifest: Optional[RunManifest] = None,
+) -> Dict[str, Any]:
+    """Write the combined manifest + snapshot JSON document to ``path``,
+    creating missing parent directories."""
+    document = metrics_document(registry, manifest)
+    with open_artifact(path, "metrics document") as handle:
+        json.dump(document, handle, indent=2, sort_keys=False)
+        handle.write("\n")
     return document

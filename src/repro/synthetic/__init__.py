@@ -7,23 +7,22 @@ plus a virtual observer that reports experiment outcomes with the exact miss
 probabilities p1/p2 of the paper's assumptions. Estimator unit tests and
 property-based tests run here, where the true F and D are known in closed
 form.
+
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`).
 """
 
-from repro.synthetic.renewal import (
-    AlternatingRenewalProcess,
-    FixedSlots,
-    GeometricSlots,
-    UniformSlots,
-)
-from repro.synthetic.observer import VirtualObserver
-from repro.synthetic.gilbert import GilbertProcess, sample_packet_losses
+from repro import _lazy
 
-__all__ = [
-    "AlternatingRenewalProcess",
-    "FixedSlots",
-    "GeometricSlots",
-    "UniformSlots",
-    "VirtualObserver",
-    "GilbertProcess",
-    "sample_packet_losses",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "AlternatingRenewalProcess": "renewal",
+        "FixedSlots": "renewal",
+        "GeometricSlots": "renewal",
+        "UniformSlots": "renewal",
+        "VirtualObserver": "observer",
+        "GilbertProcess": "gilbert",
+        "sample_packet_losses": "gilbert",
+    },
+)

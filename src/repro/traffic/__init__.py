@@ -7,22 +7,24 @@
   paper's modified-Iperf scenarios),
 * :mod:`repro.traffic.tcp` — a from-scratch TCP Reno/NewReno model,
 * :mod:`repro.traffic.harpoon` — heavy-tailed web-like session traffic.
+
+Names resolve from here but load their submodule on first access
+(:mod:`repro._lazy`).
 """
 
-from repro.traffic.base import Application
-from repro.traffic.udp import UdpSink, UdpSource
-from repro.traffic.cbr import CbrSource, EpisodicCbrTraffic
-from repro.traffic.tcp import TcpReceiver, TcpSender, start_tcp_flow
-from repro.traffic.harpoon import HarpoonWebTraffic
+from repro import _lazy
 
-__all__ = [
-    "Application",
-    "UdpSink",
-    "UdpSource",
-    "CbrSource",
-    "EpisodicCbrTraffic",
-    "TcpReceiver",
-    "TcpSender",
-    "start_tcp_flow",
-    "HarpoonWebTraffic",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "Application": "base",
+        "UdpSink": "udp",
+        "UdpSource": "udp",
+        "CbrSource": "cbr",
+        "EpisodicCbrTraffic": "cbr",
+        "TcpReceiver": "tcp",
+        "TcpSender": "tcp",
+        "start_tcp_flow": "tcp",
+        "HarpoonWebTraffic": "harpoon",
+    },
+)

@@ -1,5 +1,7 @@
 """Tests for package-level exports, cold imports and the error hierarchy."""
 
+import functools
+import json
 import os
 import pkgutil
 import subprocess
@@ -8,7 +10,6 @@ import sys
 import pytest
 
 import repro
-import repro.net
 from repro import errors
 
 
@@ -98,23 +99,130 @@ def test_experiments_exports_resolve():
         assert getattr(experiments, name) is not None
 
 
+def _module_groups():
+    """``{package: [package, its modules...]}`` for ``repro`` and every
+    subpackage; ``repro``'s own group holds its top-level modules."""
+    root = repro.__path__[0]
+    groups = {"repro": ["repro"]}
+    for info in pkgutil.iter_modules([root]):
+        name = f"repro.{info.name}"
+        if not info.ispkg:
+            groups["repro"].append(name)
+            continue
+        groups[name] = [name] + [
+            f"{name}.{sub.name}"
+            for sub in pkgutil.iter_modules([os.path.join(root, info.name)])
+        ]
+    return groups
 
-_COLD_IMPORTS = [
-    "repro",
-    *(f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg),
-    *(f"repro.net.{info.name}" for info in pkgutil.iter_modules(repro.net.__path__)),
-]
+
+_MODULE_GROUPS = _module_groups()
+_PACKAGE_OF = {
+    module: package for package, modules in _MODULE_GROUPS.items() for module in modules
+}
+_COLD_IMPORTS = sorted(_PACKAGE_OF)
+
+#: Imports each module named on the command line as the first ``repro``
+#: module of the process, and prints ``{module: traceback}`` for failures.
+_COLD_IMPORT_SCRIPT = """
+import importlib, json, sys, traceback
+failed = {}
+for name in sys.argv[1:]:
+    for loaded in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception:
+        failed[name] = traceback.format_exc()
+print(json.dumps(failed))
+"""
 
 
-@pytest.mark.parametrize("module", _COLD_IMPORTS)
-def test_cold_import(module):
-    """Each module imports first in a fresh interpreter: no import cycle
-    depends on which module a program happens to load first."""
+def _fresh_python(*args):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_import_failures(package):
+    """One interpreter per package imports each of its modules cold."""
+    output = _fresh_python("-c", _COLD_IMPORT_SCRIPT, *_MODULE_GROUPS[package])
+    return json.loads(output.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", _COLD_IMPORTS)
+def test_cold_import(module):
+    """Each module imports as the first ``repro`` module of a process: no
+    import cycle depends on which module a program happens to load first."""
+    failures = _cold_import_failures(_PACKAGE_OF[module])
+    assert module not in failures, failures[module]
+
+
+def _loaded_after(module):
+    """Every module a fresh interpreter holds after ``import module``."""
+    output = _fresh_python("-c", f"import sys, {module}; print(*sys.modules)")
+    return set(output.split())
+
+
+def _under(loaded, names):
+    """The modules of ``loaded`` that are one of ``names`` or inside one."""
+    return sorted(
+        module
+        for module in loaded
+        for name in names
+        if module == name or module.startswith(name + ".")
+    )
+
+
+#: ``repro.obs`` modules (and the HTTP client stack the exporter and
+#: dashboard pull in) that load on first use, never with a run's entry point.
+_OBS_ON_FIRST_USE = (
+    "repro.obs.dash",
+    "repro.obs.export",
+    "repro.obs.bench",
+    "repro.obs.alerts",
+    "repro.obs.summary",
+    "repro.obs.schema",
+    "http.client",
+    "urllib.request",
+)
+
+
+def test_offline_import_loads_no_simulator():
+    loaded = _loaded_after("repro.io")
+    assert "repro.io.traces" in loaded
+    assert _under(
+        loaded, ("repro.net", "repro.traffic", "repro.analysis", "repro.experiments")
+    ) == []
+
+
+def test_live_import_loads_no_runner_or_simulated_network():
+    loaded = _loaded_after("repro.live.runtime")
+    assert _under(
+        loaded,
+        (
+            "repro.experiments.runner",
+            "repro.traffic",
+            "repro.analysis",
+            "repro.net.topology",
+            "repro.net.link",
+            "repro.net.node",
+            "repro.net.monitor",
+        ),
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "entry", ["repro.io", "repro.live.runtime", "repro.experiments.runner"]
+)
+def test_entry_point_import_leaves_obs_tools_unloaded(entry):
+    loaded = _loaded_after(entry)
+    assert entry in loaded
+    assert _under(loaded, _OBS_ON_FIRST_USE) == []

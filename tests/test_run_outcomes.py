@@ -31,6 +31,32 @@ def test_budget_validation():
         RunBudget(max_events=0)
 
 
+@pytest.mark.parametrize("max_events", [0, -5])
+@pytest.mark.parametrize(
+    "runner, kwargs",
+    [
+        (run_badabing, CELL),
+        (
+            run_zing,
+            dict(
+                scenario="episodic_cbr",
+                mean_interval=0.1,
+                packet_size=256,
+                duration=6.0,
+                warmup=2.0,
+            ),
+        ),
+        (run_badabing_multihop, dict(n_hops=2, p=0.3, n_slots=1500, warmup=2.0)),
+    ],
+    ids=["badabing", "zing", "multihop"],
+)
+def test_runners_refuse_event_budget_below_one(runner, kwargs, max_events):
+    # The runners share RunBudget's check instead of dispatching one event
+    # and reporting an exhausted budget.
+    with pytest.raises(ConfigurationError, match="max_events must be >= 1"):
+        runner(max_events=max_events, **kwargs)
+
+
 def test_derived_retry_seeds_are_deterministic_and_fresh():
     first = derive_retry_seed(42, 1)
     assert first == derive_retry_seed(42, 1)
