@@ -43,13 +43,10 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.experiments import figures as _figures
-from repro.experiments import render as _render
-from repro.experiments import tables as _tables
+from repro.experiments.catalog import SCENARIO_NAMES
 from repro.experiments.profiles import PROFILES, active_profile
-from repro.experiments.runner import SCENARIOS, run_badabing, run_zing
 from repro.net.faults import FAULT_PROFILES as _FAULT_PROFILES
-from repro.obs import MetricsRegistry, Tracer, write_metrics_document
+from repro.obs import MetricsRegistry, Tracer
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -189,6 +186,8 @@ def _long_run(
         if exporter is not None:
             exporter.close()
     if args.metrics_out:
+        from repro.obs import write_metrics_document
+
         write_metrics_document(args.metrics_out, registry, None)
 
 
@@ -218,6 +217,8 @@ def _run_obs(args: argparse.Namespace, **meta):
 def _write_run_obs(args: argparse.Namespace, metrics, tracer, manifest) -> None:
     """Write one run's --metrics-out / --trace-out, each before its line."""
     if args.metrics_out:
+        from repro.obs import write_metrics_document
+
         write_metrics_document(args.metrics_out, metrics, manifest)
         print(f"metrics written to {args.metrics_out}")
     if tracer is not None:
@@ -260,6 +261,8 @@ def _print_checks(result, injector) -> None:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_badabing
+
     profile = _resolve_profile(args.profile)
     n_slots = args.slots if args.slots else profile.n_slots
     keep = {}
@@ -319,6 +322,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_zing(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_zing
+
     profile = _resolve_profile(args.profile)
     metrics, tracer = _run_obs(args, tool="zing", scenario=args.scenario, seed=args.seed)
     result, truth = run_zing(
@@ -443,8 +448,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.render import render_table
+    from repro.experiments.tables import ALL_TABLES
+
     key = f"table{args.number}"
-    builder = _tables.ALL_TABLES.get(key)
+    builder = ALL_TABLES.get(key)
     if builder is None:
         print(f"unknown table {args.number}; choose 1-8", file=sys.stderr)
         return 2
@@ -452,29 +460,32 @@ def _cmd_table(args: argparse.Namespace) -> int:
     kwargs = {"profile": profile}
     if args.seed:
         kwargs["seed"] = args.seed
-    print(_render.render_table(builder(**kwargs)))
+    print(render_table(builder(**kwargs)))
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments import render
+    from repro.experiments.figures import ALL_FIGURES
+
     key = args.name if args.name.startswith("fig") else f"fig{args.name}"
-    builder = _figures.ALL_FIGURES.get(key)
+    builder = ALL_FIGURES.get(key)
     if builder is None:
         print(
-            f"unknown figure {args.name}; choose from {sorted(_figures.ALL_FIGURES)}",
+            f"unknown figure {args.name}; choose from {sorted(ALL_FIGURES)}",
             file=sys.stderr,
         )
         return 2
     profile = _resolve_profile(args.profile)
     result = builder(profile=profile)
     if key in ("fig4", "fig5", "fig6"):
-        print(_render.render_queue_series(result))
+        print(render.render_queue_series(result))
     elif key == "fig7":
-        print(_render.render_train_sensitivity(result))
+        print(render.render_train_sensitivity(result))
     elif key == "fig8":
-        print(_render.render_probe_impact(result))
+        print(render.render_probe_impact(result))
     else:
-        print(_render.render_sensitivity(result))
+        print(render.render_sensitivity(result))
     return 0
 
 
@@ -726,7 +737,7 @@ def _live_config(args: argparse.Namespace):
 
 def _live_budget(args: argparse.Namespace):
     """Optional RunBudget from --max-packets / --max-seconds."""
-    from repro.experiments.runner import RunBudget
+    from repro.experiments.budget import RunBudget
 
     if not args.max_packets and not args.max_seconds:
         return None
@@ -1100,9 +1111,12 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print("scenarios:", ", ".join(sorted(SCENARIOS)))
-    print("tables:   ", ", ".join(sorted(_tables.ALL_TABLES)))
-    print("figures:  ", ", ".join(sorted(_figures.ALL_FIGURES)))
+    from repro.experiments.figures import ALL_FIGURES
+    from repro.experiments.tables import ALL_TABLES
+
+    print("scenarios:", ", ".join(sorted(SCENARIO_NAMES)))
+    print("tables:   ", ", ".join(sorted(ALL_TABLES)))
+    print("figures:  ", ", ".join(sorted(ALL_FIGURES)))
     print("profiles: ", ", ".join(sorted(PROFILES)))
     print("faults:   ", ", ".join(sorted(_FAULT_PROFILES)))
     return 0
@@ -1117,7 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     measure = commands.add_parser("measure", help="run one BADABING measurement")
-    measure.add_argument("scenario", choices=sorted(SCENARIOS))
+    measure.add_argument("scenario", choices=sorted(SCENARIO_NAMES))
     measure.add_argument("--p", type=float, default=0.3, help="per-slot probe probability")
     measure.add_argument("--slots", type=int, default=0, help="number of 5ms slots (N)")
     measure.add_argument("--seed", type=int, default=1)
@@ -1149,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser(
         "sweep", help="run a grid of BADABING cells, optionally in parallel"
     )
-    sweep.add_argument("scenario", choices=sorted(SCENARIOS))
+    sweep.add_argument("scenario", choices=sorted(SCENARIO_NAMES))
     sweep.add_argument(
         "--p",
         default="0.1,0.3,0.5",
@@ -1193,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     zing = commands.add_parser("zing", help="run the Poisson (ZING) baseline")
-    zing.add_argument("scenario", choices=sorted(SCENARIOS))
+    zing.add_argument("scenario", choices=sorted(SCENARIO_NAMES))
     zing.add_argument("--rate", type=float, default=10.0, help="mean probe rate in Hz")
     zing.add_argument("--size", type=int, default=256, help="probe size in bytes")
     zing.add_argument("--duration", type=float, default=0.0, help="seconds of probing")

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EstimationError, LiveSessionError
 from repro.experiments.budget import RunOutcome
+from repro.live import loop as live_loop
 from repro.live.controller import (
     ControllerPolicy,
     FleetController,
@@ -305,5 +306,5 @@ async def run_fleet(
 
 
 def fleet_run(*args, **kwargs) -> FleetRunResult:
-    """Synchronous wrapper around :func:`run_fleet`."""
-    return asyncio.run(run_fleet(*args, **kwargs))
+    """Run :func:`run_fleet` through :func:`repro.live.loop.run`."""
+    return live_loop.run(run_fleet(*args, **kwargs))

@@ -37,6 +37,7 @@ from repro.experiments import scenarios as _scenarios
 # Defined in a leaf module that the live path imports without the
 # simulator; callers keep importing them from here.
 from repro.experiments.budget import RunBudget, RunOutcome, check_max_events
+from repro.experiments.catalog import SCENARIO_NAMES
 from repro.net.faults import FaultInjector, FaultProfile, resolve_fault_profile
 from repro.net.simulator import Simulator, _stable_seed
 from repro.net.topology import DumbbellTestbed
@@ -62,9 +63,7 @@ HEARTBEAT_BEATS = 8
 
 #: Registry of named scenarios usable by tables, benches, and the CLI.
 SCENARIOS: Dict[str, Callable[..., Any]] = {
-    "infinite_tcp": _scenarios.infinite_tcp,
-    "episodic_cbr": _scenarios.episodic_cbr,
-    "harpoon_web": _scenarios.harpoon_web,
+    name: getattr(_scenarios, name) for name in SCENARIO_NAMES
 }
 
 

@@ -19,6 +19,8 @@ network using asyncio UDP endpoints and the monotonic wall clock:
 * :mod:`repro.live.runtime` — orchestration, streaming validation, and
   the synchronous ``live_send`` / ``live_reflect`` / ``live_loopback``
   entry points behind the CLI,
+* :mod:`repro.live.loop` — the ``select(2)`` event loop, with microsecond
+  timers, that every synchronous entry point runs on,
 * :mod:`repro.live.controller` — the adaptive fleet controller: a
   deterministic, fake-clock-drivable rebalancing loop that spends one
   global probe budget across a roster of paths, weighted toward the

@@ -44,6 +44,7 @@ from repro.config import BadabingConfig, MarkingConfig
 from repro.core.result import BadabingResult
 from repro.errors import ConfigurationError, EstimationError, LiveSessionError
 from repro.experiments.budget import RunBudget, RunOutcome
+from repro.live import loop as live_loop
 from repro.live import wire
 from repro.live.reflector import ReflectorProtocol, ReflectorSession
 from repro.net.faults import FaultProfile
@@ -581,5 +582,5 @@ async def run_fleet_loopback(
 
 
 def fleet_loopback(*args, **kwargs) -> FleetLoopbackResult:
-    """Synchronous wrapper around :func:`run_fleet_loopback`."""
-    return asyncio.run(run_fleet_loopback(*args, **kwargs))
+    """Run :func:`run_fleet_loopback` through :func:`repro.live.loop.run`."""
+    return live_loop.run(run_fleet_loopback(*args, **kwargs))

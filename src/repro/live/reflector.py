@@ -213,6 +213,7 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
 
     # ------------------------------------------------------- protocol plumbing
     def connection_made(self, transport) -> None:
+        transport.max_size = wire.MAX_DATAGRAM
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:

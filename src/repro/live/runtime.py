@@ -40,6 +40,7 @@ from repro.core.validation import SequentialValidator
 from repro.errors import EstimationError, LiveSessionError
 from repro.experiments.budget import RunBudget
 from repro.io.traces import TraceWriter
+from repro.live import loop as live_loop
 from repro.live.fleet import (
     WATCHDOG_INTERVAL,
     FleetPolicy,
@@ -498,15 +499,15 @@ async def run_live_loopback(
 
 
 def live_send(*args, **kwargs) -> LiveRunResult:
-    """Synchronous wrapper around :func:`run_live_send`."""
-    return asyncio.run(run_live_send(*args, **kwargs))
+    """Run :func:`run_live_send` through :func:`repro.live.loop.run`."""
+    return live_loop.run(run_live_send(*args, **kwargs))
 
 
 def live_reflect(*args, **kwargs) -> ReflectorProtocol:
-    """Synchronous wrapper around :func:`run_live_reflector`."""
-    return asyncio.run(run_live_reflector(*args, **kwargs))
+    """Run :func:`run_live_reflector` through :func:`repro.live.loop.run`."""
+    return live_loop.run(run_live_reflector(*args, **kwargs))
 
 
 def live_loopback(*args, **kwargs) -> LiveRunResult:
-    """Synchronous wrapper around :func:`run_live_loopback`."""
-    return asyncio.run(run_live_loopback(*args, **kwargs))
+    """Run :func:`run_live_loopback` through :func:`repro.live.loop.run`."""
+    return live_loop.run(run_live_loopback(*args, **kwargs))

@@ -47,8 +47,6 @@ FIN_TIMEOUT = 0.3
 FIN_ATTEMPTS = 3
 #: Post-emission wait for outstanding echoes (seconds).
 DRAIN_TIMEOUT = 1.0
-#: Echo-wait poll interval while draining.
-DRAIN_POLL = 0.05
 
 #: Buckets (seconds) for launch-timing error on a real host: scheduler
 #: jitter at the bottom, missed-slot territory at the top.
@@ -94,11 +92,16 @@ class SenderProtocol(asyncio.DatagramProtocol):
         #: Set when a NAK arrives for our established session: the
         #: reflector restarted and lost our state mid-measurement.
         self.restart_detected = False
+        #: Echo count the drain waits for; ``drained`` is set once that
+        #: many echoes are in, or on a restart NAK. None until the drain.
+        self.echoes_expected: Optional[int] = None
+        self.drained = asyncio.Event()
         self.wire_errors = 0
         self.duplicate_echoes = 0
         self.transport: Optional[asyncio.DatagramTransport] = None
 
     def connection_made(self, transport) -> None:
+        transport.max_size = wire.MAX_DATAGRAM
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
@@ -113,6 +116,9 @@ class SenderProtocol(asyncio.DatagramProtocol):
                     self.duplicate_echoes += 1
                 else:
                     self.recv_ns[key] = recv_ns
+                    expected = self.echoes_expected
+                    if expected is not None and len(self.recv_ns) >= expected:
+                        self.drained.set()
             elif header.kind == wire.HELLO_ACK:
                 self.hello_acked.set()
             elif header.kind == wire.FIN_ACK:
@@ -127,6 +133,7 @@ class SenderProtocol(asyncio.DatagramProtocol):
                 # before that, admission speaks BUSY, not NAK.
                 if self.hello_acked.is_set() and not self.fin_acked.is_set():
                     self.restart_detected = True
+                    self.drained.set()
         except WireFormatError:
             self.wire_errors += 1
 
@@ -374,15 +381,19 @@ class LiveSender:
         self.on_progress(records, elapsed)
 
     async def _drain(self, drain_timeout: float) -> None:
-        """Wait (bounded) for echoes still in flight after the last train."""
-        deadline_ns = self.clock.now_ns() + int(drain_timeout * 1e9)
-        while self.clock.now_ns() < deadline_ns:
-            if len(self.protocol.recv_ns) >= self.stats.packets_sent:
-                return
-            if self.protocol.restart_detected:
-                # No reflector state, no outstanding echoes to wait for.
-                return
-            await asyncio.sleep(DRAIN_POLL)
+        """Wait (bounded) for echoes still in flight after the last train.
+
+        Returns as soon as the last outstanding echo lands, or a restart
+        NAK says no reflector state (and no echo) is left to wait for.
+        """
+        protocol = self.protocol
+        expected = protocol.echoes_expected = self.stats.packets_sent
+        if protocol.restart_detected or len(protocol.recv_ns) >= expected:
+            return
+        try:
+            await asyncio.wait_for(protocol.drained.wait(), timeout=drain_timeout)
+        except asyncio.TimeoutError:
+            pass
 
     async def _fin(self) -> None:
         """Best-effort session teardown; the reflector also times out.

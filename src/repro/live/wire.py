@@ -97,6 +97,12 @@ ECHO_SIZE = HEADER_SIZE + _ECHO_TRAILER.size
 HELLO_SIZE = HEADER_SIZE + _SPEC.size
 BUSY_SIZE = HEADER_SIZE + _BUSY_TRAILER.size
 
+#: Read size of the live endpoints' datagram transports. Every UDP payload
+#: fits (65,507 bytes at most), and the buffer stays under glibc's 128 KiB
+#: mmap threshold: with asyncio's default of 256 KiB, each datagram maps,
+#: faults in and unmaps a fresh buffer unless that threshold was raised.
+MAX_DATAGRAM = 64 * 1024
+
 _U8 = (1 << 8) - 1
 _U16 = (1 << 16) - 1
 _U32 = (1 << 32) - 1

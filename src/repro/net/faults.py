@@ -36,12 +36,14 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.net.packet import Packet
-from repro.net.simulator import Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (link imports us)
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    # The profile catalog stays importable without the simulator (the CLI
+    # offers its names), and link imports this module.
     from repro.net.link import Link
     from repro.net.node import Host
+    from repro.net.packet import Packet
+    from repro.net.simulator import Simulator
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Live loopback integration: real UDP over 127.0.0.1, deterministic loss."""
 
+import asyncio
 import socket
 import subprocess
 import sys
@@ -9,14 +10,21 @@ import pytest
 
 from repro.cli import main
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
+from repro.core.clock import MonotonicClock
 from repro.experiments.runner import RunBudget
 from repro.io import load_measurement, reestimate
 from repro.live import (
+    LiveSender,
     ReflectorProtocol,
+    SenderProtocol,
     bernoulli_drop,
     live_loopback,
+    make_session_id,
+    open_sender,
     schedule_from_spec,
     spec_for,
+    start_reflector,
+    wire,
 )
 from repro.net.faults import FaultProfile
 from repro.net.simulator import _stable_seed
@@ -99,6 +107,98 @@ def test_loopback_packet_budget_degrades_gracefully():
     assert not run.result.coverage.complete
 
 
+class _RecordingTransport:
+    """Datagram transport stand-in that keeps what the sender sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, addr=None):
+        self.sent.append(data)
+
+
+def _sender_after_one_train(seed=5):
+    """A sender (built on the running loop) that has sent one train."""
+    spec = spec_for(_config(), seed)
+    protocol = SenderProtocol(make_session_id(seed), MonotonicClock())
+    transport = _RecordingTransport()
+    sender = LiveSender(transport, protocol, spec, schedule_from_spec(spec))
+    sender._emit_train(0, spec.packets_per_probe)
+    return sender, protocol, transport
+
+
+async def _passes_until_done(task, limit=10):
+    """Loop passes until ``task`` is done; None if still pending after ``limit``."""
+    for passes in range(limit):
+        if task.done():
+            return passes
+        await asyncio.sleep(0)
+    return None
+
+
+def test_drain_returns_on_the_last_echo():
+    """The drain ends on the echo that completes the count, within a few
+    loop passes, not at the next tick of a poll interval."""
+
+    async def scenario():
+        sender, protocol, transport = _sender_after_one_train()
+        drain = asyncio.ensure_future(sender._drain(10.0))
+        echoes = [
+            wire.encode_echo(wire.decode_header(datagram), 1)
+            for datagram in transport.sent
+        ]
+        for echo in echoes[:-1]:
+            protocol.datagram_received(echo, None)
+        outstanding = await _passes_until_done(drain)
+        protocol.datagram_received(echoes[-1], None)
+        return outstanding, await _passes_until_done(drain)
+
+    outstanding, after_last = asyncio.run(scenario())
+    assert outstanding is None
+    assert after_last is not None
+
+
+def test_drain_ends_on_a_restart_nak():
+    async def scenario():
+        sender, protocol, _transport = _sender_after_one_train()
+        protocol.hello_acked.set()
+        drain = asyncio.ensure_future(sender._drain(10.0))
+        await asyncio.sleep(0)
+        protocol.datagram_received(
+            wire.encode_control(wire.NAK, protocol.session_id, 0), None
+        )
+        return await _passes_until_done(drain)
+
+    assert asyncio.run(scenario()) is not None
+
+
+def test_drain_gives_up_at_its_timeout():
+    async def scenario():
+        sender, _protocol, _transport = _sender_after_one_train()
+        started = time.perf_counter()
+        await sender._drain(0.05)
+        return time.perf_counter() - started
+
+    assert 0.045 <= asyncio.run(scenario()) < 1.0
+
+
+def test_live_endpoints_read_datagrams_below_the_mmap_threshold():
+    """Each read allocates ``max_size`` bytes; asyncio's 256 KiB default is
+    mapped and unmapped per datagram where glibc's threshold is 128 KiB."""
+
+    async def scenario():
+        reflector_transport, _reflector = await start_reflector("127.0.0.1", 0)
+        port = reflector_transport.get_extra_info("sockname")[1]
+        sender_transport, _sender = await open_sender("127.0.0.1", port, 1)
+        sizes = (reflector_transport.max_size, sender_transport.max_size)
+        sender_transport.close()
+        reflector_transport.close()
+        return sizes
+
+    assert asyncio.run(scenario()) == (wire.MAX_DATAGRAM, wire.MAX_DATAGRAM)
+    assert 65_507 <= wire.MAX_DATAGRAM < 128 * 1024
+
+
 def test_reflector_counts_malformed_datagrams():
     registry = MetricsRegistry()
     protocol = ReflectorProtocol(registry=registry)
@@ -110,8 +210,6 @@ def test_reflector_counts_malformed_datagrams():
 
 
 def test_reflector_drops_probes_from_unknown_sessions():
-    from repro.live import wire
-
     protocol = ReflectorProtocol()
     probe = wire.encode_probe(
         session=12345, sequence=0, slot=0, index=0, packets_per_probe=1, send_ns=0

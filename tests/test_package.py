@@ -203,20 +203,24 @@ def test_offline_import_loads_no_simulator():
     ) == []
 
 
+#: Simulated-run modules that no live or offline entry point loads.
+_SIMULATED_RUN = (
+    "repro.experiments.runner",
+    "repro.experiments.tables",
+    "repro.experiments.figures",
+    "repro.experiments.render",
+    "repro.traffic",
+    "repro.analysis",
+    "repro.net.topology",
+    "repro.net.link",
+    "repro.net.node",
+    "repro.net.monitor",
+)
+
+
 def test_live_import_loads_no_runner_or_simulated_network():
     loaded = _loaded_after("repro.live.runtime")
-    assert _under(
-        loaded,
-        (
-            "repro.experiments.runner",
-            "repro.traffic",
-            "repro.analysis",
-            "repro.net.topology",
-            "repro.net.link",
-            "repro.net.node",
-            "repro.net.monitor",
-        ),
-    ) == []
+    assert _under(loaded, _SIMULATED_RUN) == []
 
 
 @pytest.mark.parametrize(
@@ -226,3 +230,31 @@ def test_entry_point_import_leaves_obs_tools_unloaded(entry):
     loaded = _loaded_after(entry)
     assert entry in loaded
     assert _under(loaded, _OBS_ON_FIRST_USE) == []
+
+
+#: Runs the CLI on its arguments, then prints the exit status and every
+#: module the interpreter holds.
+_CLI_SCRIPT = """
+import sys
+from repro.cli import main
+status = main(sys.argv[1:])
+print(status, *sys.modules)
+"""
+
+
+def _loaded_after_command(*argv):
+    status, *loaded = _fresh_python("-c", _CLI_SCRIPT, *argv).splitlines()[-1].split()
+    assert status == "0"
+    return set(loaded)
+
+
+def test_cli_live_and_offline_commands_load_no_simulator(tmp_path):
+    trace = str(tmp_path / "live.jsonl")
+    live = _loaded_after_command(
+        "live", "loopback", "--duration", "0.5", "--save", trace
+    )
+    assert "repro.live.runtime" in live
+    assert _under(live, _SIMULATED_RUN) == []
+    offline = _loaded_after_command("analyze", trace)
+    assert "repro.io.traces" in offline
+    assert _under(offline, _SIMULATED_RUN) == []
