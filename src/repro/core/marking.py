@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, List, Mapping, Optional, Sequence
 
 from repro import profiling as _profiling
 from repro.config import MarkingConfig
@@ -34,8 +34,9 @@ from repro.errors import ConfigurationError
 class MarkingResult:
     """Per-slot congestion indications plus marking diagnostics."""
 
-    #: probed slot -> congestion indication (the input to y_i assembly).
-    slot_states: Dict[int, bool]
+    #: probed slot -> congestion indication (the input to y_i assembly); a
+    #: dict, or the read-only view :func:`repro.io.reestimate` returns.
+    slot_states: Mapping[int, bool]
     #: How many probes were marked because of actual probe packet loss.
     marked_by_loss: int = 0
     #: How many probes were marked by the delay-proximity rule.

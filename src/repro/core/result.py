@@ -13,7 +13,7 @@ offline paths load no simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.config import BadabingConfig
 from repro.core.estimators import LossEstimate, estimate_from_outcomes
@@ -37,7 +37,8 @@ class BadabingResult:
     validation: ValidationReport
     marking: MarkingResult
     probes: List[ProbeRecord]
-    outcomes: List[ExperimentOutcome]
+    #: A list, or the read-only view :func:`repro.io.reestimate` returns.
+    outcomes: Sequence[ExperimentOutcome]
     n_probes_sent: int
     probe_load_bps: float
     slot_width: float

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro import profiling as _profiling
 from repro.core.records import CoverageReport, ExperimentOutcome
@@ -131,7 +131,7 @@ class GeometricSchedule:
 
     # -------------------------------------------------------------- outcomes
     def outcomes_from_states(
-        self, slot_states: Dict[int, bool]
+        self, slot_states: Mapping[int, bool]
     ) -> List[ExperimentOutcome]:
         """Materialize y_i for every experiment from measured slot states.
 
@@ -153,13 +153,13 @@ class GeometricSchedule:
                 outcomes.append(ExperimentOutcome(experiment.start_slot, tuple(bits)))
         return outcomes
 
-    def coverage_from_states(self, slot_states: Dict[int, bool]) -> CoverageReport:
+    def coverage_from_states(self, slot_states: Mapping[int, bool]) -> CoverageReport:
         """Quantify how much of the plan the marked states actually cover."""
         return coverage_report(self.experiments, slot_states)
 
 
 def coverage_report(
-    experiments: Sequence[Experiment], slot_states: Dict[int, bool]
+    experiments: Sequence[Experiment], slot_states: Mapping[int, bool]
 ) -> CoverageReport:
     """Scheduled-vs-usable accounting for any experiment plan.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro import profiling as _profiling
 from repro.config import MarkingConfig
@@ -154,7 +154,7 @@ class Measurement:
         state.pop("_columns", None)
         return state
 
-    def outcomes(self, slot_states: Dict[int, bool]) -> List[ExperimentOutcome]:
+    def outcomes(self, slot_states: Mapping[int, bool]) -> List[ExperimentOutcome]:
         """Assemble y_i values from marked slot states."""
         outcomes: List[ExperimentOutcome] = []
         for experiment in self.experiments:
@@ -385,6 +385,40 @@ def _header_experiment(start: Any, length: Any) -> Experiment:
     return Experiment(start, length)
 
 
+def _check_header(header: Dict[str, Any]) -> None:
+    """Refuse the header values the configuration classes would refuse.
+
+    The same bounds as :class:`~repro.config.ProbeConfig` and
+    :class:`~repro.config.BadabingConfig`: ``slot_width`` finite and
+    positive, ``n_slots`` an integer of at least 2, ``p`` in (0, 1], and a
+    ``metadata.probe_size``, when present, a positive integer. Otherwise a
+    trace re-estimates to a negative or nan duration, a negative probe
+    load, or a raw ``TypeError``. Raises KeyError for a missing field and
+    ValueError for a bad value; both loaders call it.
+    """
+    slot_width = header["slot_width"]
+    n_slots = header["n_slots"]
+    p = header["p"]
+    metadata = header.get("metadata", {})
+    # type() is exact: JSON true/false decode to bool, an int subclass.
+    if type(slot_width) not in (int, float) or not (
+        isfinite(slot_width) and slot_width > 0
+    ):
+        raise ValueError(f"slot_width must be finite and > 0, got {slot_width!r}")
+    if type(n_slots) is not int or n_slots < 2:
+        raise ValueError(f"n_slots must be an integer >= 2, got {n_slots!r}")
+    if type(p) not in (int, float) or not 0 < p <= 1:
+        raise ValueError(f"p must be in (0, 1], got {p!r}")
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be a JSON object, got {metadata!r}")
+    if "probe_size" in metadata:
+        probe_size = metadata["probe_size"]
+        if type(probe_size) is not int or probe_size <= 0:
+            raise ValueError(
+                f"metadata probe_size must be a positive integer, got {probe_size!r}"
+            )
+
+
 def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
     """Read a measurement trace written by :func:`save_measurement`.
 
@@ -426,6 +460,7 @@ def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
                 line_number=1,
             )
         try:
+            _check_header(header)
             measurement = Measurement(
                 slot_width=header["slot_width"],
                 n_slots=header["n_slots"],
@@ -564,14 +599,21 @@ def load_measurement_binary(path: PathLike) -> Measurement:
         header = json.loads(bytes(arrays["header"]).decode("utf-8"))
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"{path}: malformed binary trace header") from exc
-    if header.get("type") != BINARY_FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("type") != BINARY_FORMAT_NAME:
+        kind = header.get("type") if isinstance(header, dict) else header
         raise TraceFormatError(
-            f"{path}: not a {BINARY_FORMAT_NAME} archive (type={header.get('type')!r})"
+            f"{path}: not a {BINARY_FORMAT_NAME} archive (type={kind!r})"
         )
     if header.get("version") != BINARY_FORMAT_VERSION:
         raise TraceFormatError(
             f"{path}: unsupported binary trace version {header.get('version')!r}"
         )
+    try:
+        _check_header(header)
+    except (KeyError, ValueError) as exc:
+        raise TraceFormatError(
+            f"{path}: malformed binary trace header: {exc!r}"
+        ) from exc
     try:
         # The checks the JSONL loader makes per probe line, per column: slots
         # and counts are integers, times finite. NaN in owd_before_loss
@@ -643,11 +685,16 @@ def reestimate(
     <repro.core.marking.CongestionMarker.mark>` → :meth:`Measurement.outcomes`
     → :func:`~repro.core.schedule.coverage_report` →
     :func:`~repro.core.estimators.estimate_from_outcomes` /
-    :func:`~repro.core.validation.validate_outcomes`). Probes are taken in
-    file order: a trace whose probes are not sorted by send time raises
-    :class:`~repro.errors.ConfigurationError`, as the scalar marker does,
-    and so does a trace whose probes or experiments reach past its
-    ``n_slots``.
+    :func:`~repro.core.validation.validate_outcomes`). Its ``outcomes`` and
+    ``marking.slot_states`` are read-only views
+    (:class:`~repro.core.batch.OutcomesView`,
+    :class:`~repro.core.batch.SlotStatesView`) that build the list and the
+    dict on first read and compare equal to the scalar chain's, so a
+    caller that reads only the estimate, validation and coverage builds
+    neither. Probes are taken in file order: a trace whose probes are not
+    sorted by send time raises :class:`~repro.errors.ConfigurationError`,
+    as the scalar marker does, and so does a trace whose probes or
+    experiments reach past its ``n_slots``.
 
     Degrades like the live tool: partial traces (recovery-mode loads,
     receiver outages) produce an estimate with a sub-unity coverage
@@ -675,16 +722,14 @@ def reestimate(
         marking=MarkingResult(
             # Keyed by the records' own slot ints: ints minted from the
             # slot array would cost memory for as long as the result lives.
-            slot_states=dict(zip(columns.slots, marked.states.tolist())),
+            slot_states=batch.SlotStatesView(columns.slots, marked.states),
             marked_by_loss=marked.marked_by_loss,
             marked_by_delay=marked.marked_by_delay,
             noise_losses=marked.noise_losses,
             owd_max_estimates=marked.owd_max_estimates,
         ),
         probes=measurement.probes,
-        outcomes=batch.materialize_outcomes(
-            pipeline.starts, pipeline.keys, pipeline.valid
-        ),
+        outcomes=batch.OutcomesView(pipeline.starts, pipeline.keys, pipeline.valid),
         n_probes_sent=columns.n_probes_sent,
         probe_load_bps=_probe_load_bps(measurement, columns.n_packets),
         slot_width=measurement.slot_width,

@@ -34,7 +34,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.episodes import LossEpisode, episode_slot_range
 from repro.core.streaming import ConvergencePoint, convergence_points
@@ -129,7 +129,7 @@ class EpisodeAudit:
 def audit_episodes(
     episodes: Sequence[LossEpisode],
     probe_slots: Sequence[int],
-    slot_states: Dict[int, bool],
+    slot_states: Mapping[int, bool],
     origin: float,
     slot_width: float,
     n_slots: int,

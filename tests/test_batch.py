@@ -416,3 +416,112 @@ def test_reestimate_memo_is_read_only_and_private(tmp_path, episodic_measurement
     assert pickle.loads(pickle.dumps(measurement))._columns is None
     assert measurement._columns is memo
 
+
+# ---------------------------------------------------------------------------
+# reestimate's outcomes and slot states: views built on first read
+# ---------------------------------------------------------------------------
+
+
+def test_reestimate_builds_outcomes_and_slot_states_on_first_read(
+    tmp_path, episodic_measurement, monkeypatch
+):
+    from repro.io import load_measurement, reestimate, save_measurement
+
+    built = []
+    materialize = batch.materialize_outcomes
+
+    def spy(*args):
+        built.append(args)
+        return materialize(*args)
+
+    monkeypatch.setattr(batch, "materialize_outcomes", spy)
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, episodic_measurement)
+    result = reestimate(load_measurement(path), GRID[0])
+    outcomes = result.outcomes
+    slot_states = result.marking.slot_states
+    # Everything repro analyze and perfbench read, and the length.
+    result.estimate, result.validation, result.frequency, result.duration_seconds
+    assert result.coverage.usable_experiments == len(outcomes) > 0
+    assert built == []
+    assert slot_states._container is None
+
+    first = outcomes[0]
+    assert len(built) == 1
+    assert list(outcomes)[0] is first
+    assert outcomes[-1] is list(outcomes)[-1]
+    assert len(built) == 1
+
+    state = slot_states.get(first.start_slot)
+    states = slot_states._container
+    assert states is not None
+    assert slot_states[first.start_slot] == state
+    assert first.start_slot in slot_states
+    assert slot_states._container is states
+
+
+@pytest.mark.parametrize("container", ["jsonl", "npz"])
+def test_reestimate_views_equal_the_scalar_chain_both_ways(
+    tmp_path, episodic_measurement, container
+):
+    from repro import io
+
+    save, load = {
+        "jsonl": (io.save_measurement, io.load_measurement),
+        "npz": (io.save_measurement_binary, io.load_measurement_binary),
+    }[container]
+    path = tmp_path / f"trace.{container}"
+    save(path, episodic_measurement)
+    loaded = load(path)
+    marking = GRID[2]
+    marked, outcomes, _coverage, _estimate, _validation = scalar_chain(
+        loaded, marking
+    )
+
+    # A fresh result for each comparison, so that each compares an
+    # unbuilt view from its own side.
+    assert outcomes == io.reestimate(loaded, marking).outcomes
+    assert io.reestimate(loaded, marking).outcomes == outcomes
+    assert marked.slot_states == io.reestimate(loaded, marking).marking.slot_states
+    assert io.reestimate(loaded, marking).marking.slot_states == marked.slot_states
+    result = io.reestimate(loaded, marking)
+    assert not outcomes != result.outcomes
+    assert outcomes[:-1] != result.outcomes
+    assert result.outcomes != outcomes[1:]
+    changed = dict(marked.slot_states)
+    changed[outcomes[0].start_slot] = not changed[outcomes[0].start_slot]
+    assert changed != result.marking.slot_states
+    assert result.marking.slot_states != changed
+    assert repr(result.outcomes) == repr(outcomes)
+    assert repr(result.marking.slot_states) == repr(marked.slot_states)
+    assert dict(result.marking.slot_states.items()) == marked.slot_states
+    assert len(result.marking.slot_states) == len(marked.slot_states)
+
+
+def test_reestimate_views_slice_get_copy_and_pickle(tmp_path, episodic_measurement):
+    from repro.io import load_measurement, reestimate, save_measurement
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, episodic_measurement)
+    loaded = load_measurement(path)
+    marked, outcomes, *_ = scalar_chain(loaded, GRID[0])
+    result = reestimate(loaded, GRID[0])
+
+    # Copies of unbuilt views, then of built ones.
+    copies = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result)]
+    assert result.outcomes[3:9] == outcomes[3:9]
+    assert result.outcomes[::-5] == outcomes[::-5]
+    assert result.outcomes[-1] == outcomes[-1]
+    slot_states = result.marking.slot_states
+    missing = loaded.n_slots
+    assert missing not in marked.slot_states
+    assert slot_states.get(missing) is None
+    assert slot_states.get(missing, False) is False
+    assert missing not in slot_states
+    with pytest.raises(KeyError):
+        slot_states[missing]
+    copies += [pickle.loads(pickle.dumps(result)), copy.deepcopy(result)]
+    for copied in copies:
+        assert copied.outcomes == outcomes
+        assert copied.marking.slot_states == marked.slot_states
+        assert_same_result(copied, result)

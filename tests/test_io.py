@@ -343,6 +343,105 @@ def test_non_integer_header_experiment_is_rejected(
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _header_field(name, value):
+    def change(header):
+        header[name] = value
+
+    return change
+
+
+def _probe_size(value):
+    def change(header):
+        header["metadata"]["probe_size"] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (_header_field("slot_width", -0.005), "slot_width"),
+        (_header_field("slot_width", 0), "slot_width"),
+        (_header_field("slot_width", math.nan), "slot_width"),
+        (_header_field("slot_width", math.inf), "slot_width"),
+        (_header_field("slot_width", "0.005"), "slot_width"),
+        (_header_field("n_slots", "40000"), "n_slots"),
+        (_header_field("n_slots", 12_000.0), "n_slots"),
+        (_header_field("n_slots", True), "n_slots"),
+        (_header_field("n_slots", 1), "n_slots"),
+        (_header_field("p", math.nan), "p must"),
+        (_header_field("p", 7), "p must"),
+        (_header_field("p", 0), "p must"),
+        (_probe_size("big"), "probe_size"),
+        (_probe_size(-600), "probe_size"),
+        (_probe_size(None), "probe_size"),
+        (_header_field("metadata", ["probe_size", 600]), "metadata"),
+    ],
+    ids=["negative-slot-width", "zero-slot-width", "nan-slot-width",
+         "inf-slot-width", "string-slot-width", "string-n-slots",
+         "float-n-slots", "bool-n-slots", "one-slot", "nan-p", "p-above-one",
+         "zero-p", "string-probe-size", "negative-probe-size",
+         "null-probe-size", "list-metadata"],
+)
+def test_header_outside_the_config_bounds_is_rejected(
+    finished_tool, tmp_path, capsys, change, field
+):
+    # Each used to load: a negative or nan slot width gave a negative or
+    # nan D-hat, p nan or 7 passed silently, a negative probe_size gave a
+    # negative probe load, and a string n_slots or probe_size ended analyze
+    # in a raw TypeError or ValueError traceback.
+    import numpy as np
+
+    from repro.cli import main
+    from repro.errors import TraceFormatError
+    from repro.io import load_measurement_binary, save_measurement_binary
+
+    path = tmp_path / "trace.jsonl"
+    save_measurement(path, finished_tool, metadata={"probe_size": 600})
+    header = json.loads(open(path).readline())
+    change(header)
+    _corrupt_lines(path, [1], json.dumps(header) + "\n")
+    for recover in (False, True):
+        with pytest.raises(TraceFormatError, match=field) as excinfo:
+            load_measurement(path, recover=recover)
+        assert excinfo.value.line_number == 1
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "malformed header" in err
+
+    packed = tmp_path / "trace.npz"
+    save_measurement_binary(packed, finished_tool, metadata={"probe_size": 600})
+    with np.load(packed) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    change(header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+    with open(packed, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    with pytest.raises(TraceFormatError, match="malformed binary trace header"):
+        load_measurement_binary(packed)
+
+
+def test_binary_trace_header_that_is_not_an_object_is_rejected(
+    finished_tool, tmp_path
+):
+    import numpy as np
+
+    from repro.errors import TraceFormatError
+    from repro.io import load_measurement_binary, save_measurement_binary
+
+    path = tmp_path / "trace.npz"
+    save_measurement_binary(path, finished_tool)
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays["header"] = np.frombuffer(b"[1, 2]", np.uint8)
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    with pytest.raises(TraceFormatError, match="not a badabing-trace-npz"):
+        load_measurement_binary(path)
+
+
 def _set_entry(index, value, dtype=None):
     def change(column):
         column = column.astype(dtype or column.dtype)
