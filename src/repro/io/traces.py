@@ -340,14 +340,21 @@ def save_measurement(
 _decode_json = json.JSONDecoder().raw_decode
 
 
+#: The JSON booleans. An OWD hashes and compares equal to one only when it
+#: is 0.0 or 1.0, so a set test rules booleans out of a probe's OWDs more
+#: cheaply than a type test of each OWD, which then runs on those alone.
+_BOOLEANS = frozenset((False, True))
+
+
 def _parse_probe_line(line: str) -> ProbeRecord:
     """Decode one stripped probe line; raises ValueError/KeyError/TypeError
-    on rot.
+    (OverflowError for an integer too large for a float) on rot.
 
     The batch stages read ``slot`` and ``n`` into int64 columns and sort
     checks compare send times, so a fractional or non-finite number would
     be truncated, crash the cast, or slip past a comparison; such a line
-    is corrupt.
+    is corrupt. So is a boolean where a number belongs, or ``owds`` that
+    is not an array.
     """
     record, end = _decode_json(line)
     if end != len(line):
@@ -357,17 +364,30 @@ def _parse_probe_line(line: str) -> ProbeRecord:
     slot = record["slot"]
     send_time = record["t"]
     n_packets = record["n"]
-    owds = tuple(record["owds"])
+    owds = record["owds"]
     owd_before_loss = record["obl"]
-    # type() is exact: JSON true/false decode to bool, an int subclass.
+    # type() is exact: JSON true/false decode to bool, an int subclass, which
+    # isfinite takes.
     if type(slot) is not int or type(n_packets) is not int:
         raise ValueError(f"slot and n must be integers, got {slot!r}, {n_packets!r}")
+    if type(owds) is not list:
+        raise ValueError(f"owds must be an array, got {owds!r}")
+    owds = tuple(owds)
     if not (
         isfinite(send_time)
         and all(map(isfinite, owds))
         and (owd_before_loss is None or isfinite(owd_before_loss))
     ):
         raise ValueError("t, owds and obl must be finite numbers")
+    if (
+        send_time is True
+        or send_time is False
+        or owd_before_loss is True
+        or owd_before_loss is False
+        or not _BOOLEANS.isdisjoint(owds)
+        and bool in map(type, owds)
+    ):
+        raise ValueError("t, owds and obl must be numbers, not booleans")
     return ProbeRecord(slot, send_time, n_packets, owds, owd_before_loss)
 
 
@@ -485,6 +505,7 @@ def load_measurement(path: PathLike, recover: bool = False) -> Measurement:
             except (
                 json.JSONDecodeError,
                 KeyError,
+                OverflowError,
                 TypeError,
                 ValueError,
                 ConfigurationError,
@@ -703,10 +724,27 @@ def reestimate(
     """
     from repro.core import batch
 
-    columns = measurement._probe_columns()
-    if columns.reach > measurement.n_slots:
+    try:
+        columns = measurement._probe_columns()
+        reach = columns.reach
+    except OverflowError as exc:
+        # The int64 columns hold nothing past 2**63 - 1. A slot or an
+        # experiment that far out is past any window; otherwise a packet
+        # count (or a slot below -2**63) is at fault.
+        reach = max(
+            [probe.slot + 1 for probe in measurement.probes]
+            + [
+                experiment.start_slot + experiment.length
+                for experiment in measurement.experiments
+            ]
+        )
+        if reach <= measurement.n_slots:
+            raise ConfigurationError(
+                f"a probe's slot or packet count does not fit an int64: {exc}"
+            ) from exc
+    if reach > measurement.n_slots:
         raise ConfigurationError(
-            f"trace slots reach slot {columns.reach - 1}, past its "
+            f"trace slots reach slot {reach - 1}, past its "
             f"n_slots={measurement.n_slots}"
         )
     pipeline = batch.run_slot_pipeline(

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import asyncio
 import signal
+from collections import deque
 from dataclasses import dataclass
 from math import floor
-from typing import Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import Clock, MonotonicClock, rebase_probe_owds
 from repro.core.estimators import frequency_from_counter
+from repro.core.marking import _aggregate, _nearest_distance
 from repro.core.records import ExperimentOutcome, ProbeRecord
 from repro.core.result import BadabingResult, assemble_result
 from repro.core.schedule import GeometricSchedule
@@ -53,6 +55,7 @@ from repro.live.sender import LiveSender, SenderStats, open_sender
 from repro.live.session import (
     config_from_spec,
     make_session_id,
+    probe_records_from_logs,
     schedule_from_spec,
     spec_for,
 )
@@ -71,15 +74,28 @@ FINALIZE_MARGIN = 0.25
 class StreamingMonitor:
     """Incremental §5.4 feed + trace persistence over a growing probe log.
 
-    ``observe(records, elapsed)`` is called by the sender with the full
-    joined record list so far. Experiments whose last slot ended more
-    than ``tau + margin`` seconds ago are *finalized*: their outcomes are
-    folded into the sequential validator (in start-slot order, exactly
-    once), the running F̂ is appended to the ``live.frequency`` series,
-    and the finalized records are flushed to the trace writer. The final
-    authoritative result is still recomputed from scratch by
-    :func:`~repro.core.result.assemble_result` — this monitor is the
-    live view, not a second estimator.
+    The sender calls ``observe(sender, elapsed)`` every few trains.
+    Experiments whose last slot ended more than ``tau + margin`` seconds
+    ago are *finalized*: their outcomes are folded into the sequential
+    validator (in start-slot order, exactly once), the running F̂ is
+    appended to the ``live.frequency`` series, and the finalized records
+    are flushed to the trace writer. The final authoritative result is
+    still recomputed from scratch by
+    :func:`~repro.core.result.assemble_result` — this monitor is the live
+    view, not a second estimator.
+
+    Each report marks what a whole-prefix
+    :meth:`~repro.core.marking.CongestionMarker.mark` over
+    :func:`~repro.core.clock.rebase_probe_owds` of the full join would, but
+    joins only the slots from the next unfed experiment on. Records below
+    that slot are final: they were joined once, are kept, and are folded
+    into the marker's running state (the OWD_max history, the last
+    delivered OWD and the loss times). The rebase shift is the smallest
+    OWD seen; when it moves, that state is derived again from the kept
+    records, because the shift enters the delay threshold and the
+    uncorrelated-loss filter. A record counts as final once its slot is
+    past the horizon, so an echo later than ``tau + margin`` misses the
+    live view and the trace, as it always has for the trace.
     """
 
     def __init__(
@@ -90,52 +106,136 @@ class StreamingMonitor:
         writer: Optional[TraceWriter] = None,
         margin: float = FINALIZE_MARGIN,
     ):
-        from repro.core.marking import CongestionMarker
-
         self.schedule = schedule
         self.config = config
         self.registry = registry if registry is not None else NullRegistry()
         self.writer = writer
         self.margin = margin
-        self.marker = CongestionMarker(config.marking)
         self.validator = SequentialValidator()
         self._experiments = sorted(
             schedule.experiments, key=lambda experiment: experiment.start_slot
         )
         self._next_experiment = 0
         self.skipped_experiments = 0
-        self._written_slots: set = set()
         self._series = (
             self.registry.series("live.frequency", role="sender")
             if self.registry.enabled
             else None
         )
+        #: Records of the slots below ``_kept_slot``, in send order.
+        self._kept: List[ProbeRecord] = []
+        self._kept_slot = 0
+        #: Records of the slots below ``_written_slot`` are in the trace.
+        self._written_slot = 0
+        #: Smallest OWD joined so far.
+        self._minimum: Optional[float] = None
+        #: Marker state after the kept records, rebased by ``_shift``.
+        self._shift = 0.0
+        self._history: Deque[float] = deque(maxlen=config.marking.owd_history)
+        self._last_owd: Optional[float] = None
+        self._loss_times: List[float] = []
 
-    def observe(self, records: List[ProbeRecord], elapsed: float) -> None:
-        """Fold the finalized prefix of ``records`` into the live view."""
+    def observe(self, sender: LiveSender, elapsed: float) -> None:
+        """Fold the experiments finalized ``elapsed`` seconds into the session."""
         horizon = elapsed - self.config.marking.tau - self.margin
         if horizon <= 0:
             return
         finalize_slot = floor(horizon / self.config.probe.slot)
-        self._advance(records, finalize_slot)
+        self._advance(sender, finalize_slot)
 
-    def finish(self, records: List[ProbeRecord]) -> None:
+    def finish(self, sender: LiveSender) -> None:
         """Session over: everything collected is final."""
-        self._advance(records, self.schedule.n_slots)
+        self._advance(sender, self.schedule.n_slots)
 
-    def _advance(self, records: List[ProbeRecord], finalize_slot: int) -> None:
-        # Rebase + mark the whole prefix each time: the offset estimate and
-        # the OWD_max history both sharpen as the log grows, so late calls
-        # re-derive earlier slots' states — but outcomes already fed to the
-        # validator are never re-fed (streaming estimates are a view, and
-        # the end-of-run result recomputes everything authoritatively).
-        states: Dict[int, bool] = self.marker.mark(
-            rebase_probe_owds(records)
-        ).slot_states
-        while self._next_experiment < len(self._experiments):
-            experiment = self._experiments[self._next_experiment]
-            if experiment.start_slot + experiment.length > finalize_slot:
+    def _advance(self, sender: LiveSender, finalize_slot: int) -> None:
+        send_ns = sender.send_ns
+        # Trains go out in slot order, so the newest send names the last
+        # slot worth joining.
+        last_sent = next(reversed(send_ns))[0] if send_ns else -1
+        window = probe_records_from_logs(
+            self.schedule,
+            self.config.probe.packets_per_probe,
+            send_ns,
+            sender.protocol.recv_ns,
+            sender.epoch_ns,
+            start_slot=self._kept_slot,
+            stop_slot=last_sent + 1,
+        )
+        # A delivered OWD never leaves the log, so the smallest one joined so
+        # far is the smallest in the whole log.
+        for record in window:
+            if record.owds:
+                low = min(record.owds)
+                if self._minimum is None or low < self._minimum:
+                    self._minimum = low
+        shift = 0.0 if self._minimum is None else self._minimum
+        if shift != self._shift:
+            self._rederive(shift)
+
+        experiments = self._experiments
+        first = stop = self._next_experiment
+        while (
+            stop < len(experiments)
+            and experiments[stop].start_slot + experiments[stop].length
+            <= finalize_slot
+        ):
+            stop += 1
+        written = min(finalize_slot, last_sent + 1)
+        kept = (
+            min(written, experiments[stop].start_slot)
+            if stop < len(experiments)
+            else written
+        )
+        split = 0
+        while split < len(window) and window[split].slot < kept:
+            split += 1
+
+        # Pass 1: records that become final now advance the kept state;
+        # the rest run on a copy, to the end of the log, because probes
+        # before the first OWD_max estimate take the end-of-log threshold.
+        verdicts: List[Tuple[Optional[float], bool]] = []
+        self._last_owd = self._fold(
+            window[:split],
+            shift,
+            self._history,
+            self._last_owd,
+            self._loss_times,
+            verdicts,
+        )
+        history = deque(self._history, maxlen=self._history.maxlen)
+        recent_losses: List[float] = []
+        self._fold(
+            window[split:], shift, history, self._last_owd, recent_losses, verdicts
+        )
+
+        # Pass 2: the tau rule looks both ways, over every loss so far.
+        marking = self.config.marking
+        scale = 1.0 - marking.alpha
+        final = scale * _aggregate(history, marking.owd_statistic) if history else None
+        any_loss = bool(self._loss_times or recent_losses)
+        states: Dict[int, bool] = {}
+        for record, (threshold, noise) in zip(window, verdicts):
+            if record.slot >= finalize_slot:
                 break
+            if record.lost and not noise:
+                states[record.slot] = True
+                continue
+            if threshold is None:
+                threshold = final
+            max_owd = record.max_owd
+            states[record.slot] = (
+                threshold is not None
+                and any_loss
+                and max_owd is not None
+                and max_owd - shift > threshold
+                and min(
+                    _nearest_distance(self._loss_times, record.send_time),
+                    _nearest_distance(recent_losses, record.send_time),
+                )
+                <= marking.tau
+            )
+
+        for experiment in experiments[first:stop]:
             bits = [states.get(slot) for slot in experiment.slots]
             if any(bit is None for bit in bits):
                 # Slots the sender never reached (budget stop) or whose
@@ -148,16 +248,81 @@ class StreamingMonitor:
                         experiment.start_slot, tuple(int(bit) for bit in bits)
                     )
                 )
-            self._next_experiment += 1
+        self._next_experiment = stop
         counter = self.validator.pattern_counter
         if self._series is not None and counter.get("M"):
-            last = records[-1].send_time if records else 0.0
-            self._series.append(last, frequency_from_counter(counter))
+            newest = window or self._kept
+            self._series.append(
+                newest[-1].send_time if newest else 0.0,
+                frequency_from_counter(counter),
+            )
         if self.writer is not None:
-            for record in records:
-                if record.slot < finalize_slot and record.slot not in self._written_slots:
-                    self._written_slots.add(record.slot)
-                    self.writer.write_probe(record)
+            self.writer.write_probes(
+                [
+                    record
+                    for record in window
+                    if self._written_slot <= record.slot < written
+                ]
+            )
+
+        self._kept.extend(window[:split])
+        self._kept_slot = kept
+        self._written_slot = written
+
+    def _rederive(self, shift: float) -> None:
+        """Derive the kept marker state again under a new rebase shift."""
+        self._history.clear()
+        self._loss_times.clear()
+        self._last_owd = self._fold(
+            self._kept, shift, self._history, None, self._loss_times, None
+        )
+        self._shift = shift
+
+    def _fold(
+        self,
+        records: List[ProbeRecord],
+        shift: float,
+        history: Deque[float],
+        last_owd: Optional[float],
+        loss_times: List[float],
+        verdicts: Optional[List[Tuple[Optional[float], bool]]],
+    ) -> Optional[float]:
+        """Pass 1 of :meth:`CongestionMarker.mark
+        <repro.core.marking.CongestionMarker.mark>`, resumed.
+
+        Folds ``records`` (raw OWDs, rebased here by ``shift``) into
+        ``history`` and ``loss_times`` from ``last_owd``, the last delivered
+        OWD before them, and returns the new one. When ``verdicts`` is
+        given, appends each record's delay threshold (None before the first
+        OWD_max estimate) and whether its loss was filtered as end-host
+        noise. The arithmetic is the marker's, so the states match it bit
+        for bit.
+        """
+        marking = self.config.marking
+        scale = 1.0 - marking.alpha
+        statistic = marking.owd_statistic
+        noise_filter = marking.filter_uncorrelated_losses
+        for record in records:
+            noise = False
+            if record.lost:
+                evidence = record.max_owd
+                if evidence is None:
+                    evidence = record.owd_before_loss
+                if noise_filter and history and evidence is not None:
+                    noise = evidence - shift < scale * _aggregate(history, statistic)
+                if not noise:
+                    loss_times.append(record.send_time)
+                    estimate = record.owd_before_loss
+                    estimate = last_owd if estimate is None else estimate - shift
+                    if estimate is not None:
+                        history.append(estimate)
+            if verdicts is not None:
+                verdicts.append(
+                    (scale * _aggregate(history, statistic) if history else None, noise)
+                )
+            if record.owds:
+                last_owd = record.owds[-1] - shift
+        return last_owd
 
 
 @dataclass
@@ -333,7 +498,7 @@ async def run_live_send(
             tracer, "live.session", host=host, port=port, n_slots=spec.n_slots
         ):
             records = await sender.run()
-        monitor.finish(records)
+        monitor.finish(sender)
     finally:
         if sigint_installed:
             _remove_sigint(loop)

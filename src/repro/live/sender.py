@@ -50,7 +50,9 @@ DRAIN_TIMEOUT = 1.0
 
 #: Buckets (seconds) for launch-timing error on a real host: scheduler
 #: jitter at the bottom, missed-slot territory at the top.
-LIVE_TIMING_BUCKETS = (1e-5, 1e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 2.5e-2, 0.1)
+LIVE_TIMING_BUCKETS = (
+    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 2.5e-2, 0.1
+)
 
 
 @dataclass
@@ -157,7 +159,7 @@ class LiveSender:
         registry: Optional[MetricsRegistry] = None,
         budget: Optional[RunBudget] = None,
         stop_event: Optional[asyncio.Event] = None,
-        on_progress: Optional[Callable[[List[ProbeRecord], float], None]] = None,
+        on_progress: Optional[Callable[["LiveSender", float], None]] = None,
         progress_every_trains: int = 32,
         hello_attempts: int = HELLO_ATTEMPTS,
         hello_timeout: float = HELLO_TIMEOUT,
@@ -345,7 +347,7 @@ class LiveSender:
         self.stats.elapsed_seconds = (clock.now_ns() - start_ns) / 1e9
         records = self.probe_records()
         if self.on_progress is not None:
-            self._report_progress(records)
+            self._report_progress()
         return records
 
     def _emit_train(self, slot: int, k: int) -> None:
@@ -370,15 +372,15 @@ class LiveSender:
             self.stats.packets_sent += 1
         self.stats.trains_sent += 1
 
-    def _report_progress(self, records: Optional[List[ProbeRecord]] = None) -> None:
-        if records is None:
-            records = self.probe_records()
+    def _report_progress(self) -> None:
+        # The callback reads the logs itself: joining them here would cost
+        # every report the whole session so far.
         elapsed = (
             (self.clock.now_ns() - self.epoch_ns) / 1e9
             if self.epoch_ns is not None
             else 0.0
         )
-        self.on_progress(records, elapsed)
+        self.on_progress(self, elapsed)
 
     async def _drain(self, drain_timeout: float) -> None:
         """Wait (bounded) for echoes still in flight after the last train.

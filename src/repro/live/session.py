@@ -14,6 +14,7 @@ side builds anything, so the two ends can never disagree on the plan.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
@@ -91,6 +92,8 @@ def probe_records_from_logs(
     send_ns: Dict[SeqKey, int],
     recv_ns: Dict[SeqKey, int],
     epoch_ns: int,
+    start_slot: int = 0,
+    stop_slot: Optional[int] = None,
 ) -> List[ProbeRecord]:
     """Join send/receive nanosecond logs into per-slot probe records.
 
@@ -105,9 +108,19 @@ def probe_records_from_logs(
     :func:`repro.core.clock.rebase_probe_owds` before marking in that
     case. Slots the sender never reached (budget stop, Ctrl-C) are simply
     absent, degrading coverage instead of faking loss.
+
+    Only the probe slots in ``[start_slot, stop_slot)`` are joined (default:
+    the whole schedule); the records are the whole-log join's records in
+    that range, so a caller that keeps the records it joined before can
+    join just the slots after them.
     """
+    probe_slots = schedule.probe_slots
+    first_index = bisect_left(probe_slots, start_slot)
+    stop_index = (
+        len(probe_slots) if stop_slot is None else bisect_left(probe_slots, stop_slot)
+    )
     records: List[ProbeRecord] = []
-    for slot in schedule.probe_slots:
+    for slot in probe_slots[first_index:stop_index]:
         first = send_ns.get((slot, 0))
         if first is None:
             continue

@@ -119,13 +119,25 @@ def _probe_past_window(measurement):
     measurement.probes[-1] = dataclasses.replace(last, slot=10**12)
 
 
+def _probe_past_int64(measurement):
+    last = measurement.probes[-1]
+    measurement.probes[-1] = dataclasses.replace(last, slot=2**63)
+
+
+def _probe_count_past_int64(measurement):
+    last = measurement.probes[-1]
+    measurement.probes[-1] = dataclasses.replace(last, n_packets=2**63 + 5)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_swap_two_probes, "sorted by send time"),
         (_probe_past_window, "past its n_slots"),
+        (_probe_past_int64, "past its n_slots"),
+        (_probe_count_past_int64, "does not fit an int64"),
     ],
-    ids=["out-of-order", "slot-past-window"],
+    ids=["out-of-order", "slot-past-window", "slot-past-int64", "count-past-int64"],
 )
 def test_malformed_trace_is_rejected(
     finished_tool, tmp_path, capsys, corrupt, message
@@ -287,9 +299,18 @@ def test_reestimate_attaches_full_coverage_on_clean_trace(finished_tool, tmp_pat
         ("slot", True),
         ("owds", [0.01, math.inf]),
         ("obl", math.nan),
+        ("t", 10**400),
+        ("owds", [0.01, -(10**400)]),
+        ("obl", 10**400),
+        ("t", True),
+        ("owds", [0.01, True]),
+        ("obl", False),
+        ("owds", ""),
+        ("owds", {}),
     ],
     ids=["fractional-slot", "nan-t", "nan-n", "nan-slot", "bool-slot", "inf-owd",
-         "nan-obl"],
+         "nan-obl", "huge-int-t", "huge-int-owd", "huge-int-obl", "bool-t",
+         "bool-owd", "bool-obl", "string-owds", "object-owds"],
 )
 def test_non_integer_or_non_finite_probe_field_is_corrupt(
     finished_tool, tmp_path, capsys, field, value

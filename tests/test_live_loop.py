@@ -2,6 +2,7 @@
 
 import asyncio
 import statistics
+import sys
 import time
 
 import pytest
@@ -91,3 +92,46 @@ def test_an_error_propagates_and_the_loop_still_closes():
     with pytest.raises(ValueError, match="boom"):
         live_loop.run(main())
     assert loops[0].is_closed()
+
+
+def _timer_slack():
+    return live_loop._prctl()(live_loop.PR_GET_TIMERSLACK, 0, 0, 0, 0)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="timer slack is a Linux setting"
+)
+def test_the_loop_thread_runs_at_one_nanosecond_timer_slack():
+    """Linux adds a thread's timer slack, 50 µs by default, to every select
+    timeout; the loop drops it to 1 ns and puts back what it found."""
+    prctl = live_loop._prctl()
+    original = _timer_slack()
+    seen = []
+
+    async def read_slack():
+        seen.append(_timer_slack())
+
+    async def fail():
+        await read_slack()
+        raise ValueError("boom")
+
+    try:
+        prctl(live_loop.PR_SET_TIMERSLACK, 73_000, 0, 0, 0)
+        live_loop.run(read_slack())
+        after_return = _timer_slack()
+        with pytest.raises(ValueError, match="boom"):
+            live_loop.run(fail())
+        after_raise = _timer_slack()
+    finally:
+        prctl(live_loop.PR_SET_TIMERSLACK, original, 0, 0, 0)
+    assert seen == [1, 1]
+    assert after_return == after_raise == 73_000
+
+
+def test_the_loop_runs_where_prctl_does_not_exist(monkeypatch):
+    async def main():
+        await asyncio.sleep(0.001)
+        return "ran"
+
+    monkeypatch.setattr(live_loop, "_prctl", lambda: None)
+    assert live_loop.run(main()) == "ran"
