@@ -53,6 +53,7 @@ from repro.live.impair import build_impairment
 from repro.live.reflector import ReflectorProtocol, start_reflector
 from repro.live.sender import LiveSender, SenderStats, open_sender
 from repro.live.session import (
+    SeqKey,
     config_from_spec,
     make_session_id,
     probe_records_from_logs,
@@ -74,13 +75,14 @@ FINALIZE_MARGIN = 0.25
 class StreamingMonitor:
     """Incremental §5.4 feed + trace persistence over a growing probe log.
 
-    The sender calls ``observe(sender, elapsed)`` every few trains.
-    Experiments whose last slot ended more than ``tau + margin`` seconds
-    ago are *finalized*: their outcomes are folded into the sequential
-    validator (in start-slot order, exactly once), the running F̂ is
-    appended to the ``live.frequency`` series, and the finalized records
-    are flushed to the trace writer. The final authoritative result is
-    still recomputed from scratch by
+    The sender calls ``observe(send_ns, recv_ns, epoch_ns, elapsed)`` with
+    its send and receive logs every few trains, and ``finish(send_ns,
+    recv_ns, epoch_ns)`` once the session is over. Experiments whose last
+    slot ended more than ``tau + margin`` seconds ago are *finalized*: their
+    outcomes are folded into the sequential validator (in start-slot order,
+    exactly once), the running F̂ is appended to the ``live.frequency``
+    series, and the finalized records are flushed to the trace writer. The
+    final authoritative result is still recomputed from scratch by
     :func:`~repro.core.result.assemble_result` — this monitor is the live
     view, not a second estimator.
 
@@ -88,14 +90,17 @@ class StreamingMonitor:
     :meth:`~repro.core.marking.CongestionMarker.mark` over
     :func:`~repro.core.clock.rebase_probe_owds` of the full join would, but
     joins only the slots from the next unfed experiment on. Records below
-    that slot are final: they were joined once, are kept, and are folded
-    into the marker's running state (the OWD_max history, the last
-    delivered OWD and the loss times). The rebase shift is the smallest
-    OWD seen; when it moves, that state is derived again from the kept
-    records, because the shift enters the delay threshold and the
-    uncorrelated-loss filter. A record counts as final once its slot is
-    past the horizon, so an echo later than ``tau + margin`` misses the
-    live view and the trace, as it always has for the trace.
+    that slot are final: they were joined once and folded into the marker's
+    running state (the OWD_max history, the last delivered OWD and the loss
+    times), which holds raw OWDs. The rebase shift is the smallest OWD seen,
+    and the marker's arithmetic runs on ``raw - shift`` each report, so a new
+    minimum, which a drifting clock brings on most reports, costs nothing
+    more. Only the uncorrelated-loss filter decides from the shift which
+    losses enter that state; with it on, the monitor keeps the final records
+    and folds them again whenever the minimum moves. A record counts as
+    final once its slot is past the horizon, so an echo later than
+    ``tau + margin`` misses the live view and the trace, as it always has
+    for the trace.
     """
 
     def __init__(
@@ -122,33 +127,49 @@ class StreamingMonitor:
             if self.registry.enabled
             else None
         )
-        #: Records of the slots below ``_kept_slot``, in send order.
-        self._kept: List[ProbeRecord] = []
+        #: Slots below ``_kept_slot`` are folded into the marker state and
+        #: not joined again; below ``_written_slot`` they are in the trace.
         self._kept_slot = 0
-        #: Records of the slots below ``_written_slot`` are in the trace.
         self._written_slot = 0
-        #: Smallest OWD joined so far.
+        #: Smallest OWD and newest send time joined so far.
         self._minimum: Optional[float] = None
-        #: Marker state after the kept records, rebased by ``_shift``.
-        self._shift = 0.0
+        self._newest = 0.0
+        #: Marker state after the slots below ``_kept_slot``, in raw OWDs.
         self._history: Deque[float] = deque(maxlen=config.marking.owd_history)
         self._last_owd: Optional[float] = None
         self._loss_times: List[float] = []
+        #: With the uncorrelated-loss filter on, the records below
+        #: ``_kept_slot`` and the shift the state above was folded under.
+        self._kept: List[ProbeRecord] = []
+        self._shift = 0.0
 
-    def observe(self, sender: LiveSender, elapsed: float) -> None:
+    def observe(
+        self,
+        send_ns: Dict[SeqKey, int],
+        recv_ns: Dict[SeqKey, int],
+        epoch_ns: int,
+        elapsed: float,
+    ) -> None:
         """Fold the experiments finalized ``elapsed`` seconds into the session."""
         horizon = elapsed - self.config.marking.tau - self.margin
         if horizon <= 0:
             return
         finalize_slot = floor(horizon / self.config.probe.slot)
-        self._advance(sender, finalize_slot)
+        self._advance(send_ns, recv_ns, epoch_ns, finalize_slot)
 
-    def finish(self, sender: LiveSender) -> None:
+    def finish(
+        self, send_ns: Dict[SeqKey, int], recv_ns: Dict[SeqKey, int], epoch_ns: int
+    ) -> None:
         """Session over: everything collected is final."""
-        self._advance(sender, self.schedule.n_slots)
+        self._advance(send_ns, recv_ns, epoch_ns, self.schedule.n_slots)
 
-    def _advance(self, sender: LiveSender, finalize_slot: int) -> None:
-        send_ns = sender.send_ns
+    def _advance(
+        self,
+        send_ns: Dict[SeqKey, int],
+        recv_ns: Dict[SeqKey, int],
+        epoch_ns: int,
+        finalize_slot: int,
+    ) -> None:
         # Trains go out in slot order, so the newest send names the last
         # slot worth joining.
         last_sent = next(reversed(send_ns))[0] if send_ns else -1
@@ -156,8 +177,8 @@ class StreamingMonitor:
             self.schedule,
             self.config.probe.packets_per_probe,
             send_ns,
-            sender.protocol.recv_ns,
-            sender.epoch_ns,
+            recv_ns,
+            epoch_ns,
             start_slot=self._kept_slot,
             stop_slot=last_sent + 1,
         )
@@ -169,7 +190,8 @@ class StreamingMonitor:
                 if self._minimum is None or low < self._minimum:
                     self._minimum = low
         shift = 0.0 if self._minimum is None else self._minimum
-        if shift != self._shift:
+        marking = self.config.marking
+        if marking.filter_uncorrelated_losses and shift != self._shift:
             self._rederive(shift)
 
         experiments = self._experiments
@@ -192,7 +214,8 @@ class StreamingMonitor:
 
         # Pass 1: records that become final now advance the kept state;
         # the rest run on a copy, to the end of the log, because probes
-        # before the first OWD_max estimate take the end-of-log threshold.
+        # before the first OWD_max estimate take the end-of-log threshold,
+        # the one after the newest record.
         verdicts: List[Tuple[Optional[float], bool]] = []
         self._last_owd = self._fold(
             window[:split],
@@ -202,16 +225,18 @@ class StreamingMonitor:
             self._loss_times,
             verdicts,
         )
-        history = deque(self._history, maxlen=self._history.maxlen)
         recent_losses: List[float] = []
         self._fold(
-            window[split:], shift, history, self._last_owd, recent_losses, verdicts
+            window[split:],
+            shift,
+            deque(self._history, maxlen=self._history.maxlen),
+            self._last_owd,
+            recent_losses,
+            verdicts,
         )
 
         # Pass 2: the tau rule looks both ways, over every loss so far.
-        marking = self.config.marking
-        scale = 1.0 - marking.alpha
-        final = scale * _aggregate(history, marking.owd_statistic) if history else None
+        final = verdicts[-1][0] if verdicts else None
         any_loss = bool(self._loss_times or recent_losses)
         states: Dict[int, bool] = {}
         for record, (threshold, noise) in zip(window, verdicts):
@@ -249,13 +274,11 @@ class StreamingMonitor:
                     )
                 )
         self._next_experiment = stop
+        if window:
+            self._newest = window[-1].send_time
         counter = self.validator.pattern_counter
         if self._series is not None and counter.get("M"):
-            newest = window or self._kept
-            self._series.append(
-                newest[-1].send_time if newest else 0.0,
-                frequency_from_counter(counter),
-            )
+            self._series.append(self._newest, frequency_from_counter(counter))
         if self.writer is not None:
             self.writer.write_probes(
                 [
@@ -265,12 +288,13 @@ class StreamingMonitor:
                 ]
             )
 
-        self._kept.extend(window[:split])
+        if marking.filter_uncorrelated_losses:
+            self._kept.extend(window[:split])
         self._kept_slot = kept
         self._written_slot = written
 
     def _rederive(self, shift: float) -> None:
-        """Derive the kept marker state again under a new rebase shift."""
+        """Fold the kept records again under a new rebase shift (filter on)."""
         self._history.clear()
         self._loss_times.clear()
         self._last_owd = self._fold(
@@ -290,38 +314,42 @@ class StreamingMonitor:
         """Pass 1 of :meth:`CongestionMarker.mark
         <repro.core.marking.CongestionMarker.mark>`, resumed.
 
-        Folds ``records`` (raw OWDs, rebased here by ``shift``) into
-        ``history`` and ``loss_times`` from ``last_owd``, the last delivered
-        OWD before them, and returns the new one. When ``verdicts`` is
+        Folds ``records`` into ``history`` and ``loss_times`` from
+        ``last_owd``, the last delivered OWD before them, and returns the
+        new one. The records, ``history`` and ``last_owd`` hold raw OWDs;
+        the marker's arithmetic runs on each minus ``shift``, as on rebased
+        records, so the states match it bit for bit. When ``verdicts`` is
         given, appends each record's delay threshold (None before the first
         OWD_max estimate) and whether its loss was filtered as end-host
-        noise. The arithmetic is the marker's, so the states match it bit
-        for bit.
+        noise.
         """
         marking = self.config.marking
         scale = 1.0 - marking.alpha
         statistic = marking.owd_statistic
         noise_filter = marking.filter_uncorrelated_losses
+        rebased = deque((owd - shift for owd in history), maxlen=history.maxlen)
+        threshold = scale * _aggregate(rebased, statistic) if rebased else None
         for record in records:
             noise = False
             if record.lost:
                 evidence = record.max_owd
                 if evidence is None:
                     evidence = record.owd_before_loss
-                if noise_filter and history and evidence is not None:
-                    noise = evidence - shift < scale * _aggregate(history, statistic)
+                if noise_filter and threshold is not None and evidence is not None:
+                    noise = evidence - shift < threshold
                 if not noise:
                     loss_times.append(record.send_time)
                     estimate = record.owd_before_loss
-                    estimate = last_owd if estimate is None else estimate - shift
+                    if estimate is None:
+                        estimate = last_owd
                     if estimate is not None:
                         history.append(estimate)
+                        rebased.append(estimate - shift)
+                        threshold = scale * _aggregate(rebased, statistic)
             if verdicts is not None:
-                verdicts.append(
-                    (scale * _aggregate(history, statistic) if history else None, noise)
-                )
+                verdicts.append((threshold, noise))
             if record.owds:
-                last_owd = record.owds[-1] - shift
+                last_owd = record.owds[-1]
         return last_owd
 
 
@@ -498,7 +526,7 @@ async def run_live_send(
             tracer, "live.session", host=host, port=port, n_slots=spec.n_slots
         ):
             records = await sender.run()
-        monitor.finish(sender)
+        monitor.finish(sender.send_ns, protocol.recv_ns, sender.epoch_ns)
     finally:
         if sigint_installed:
             _remove_sigint(loop)

@@ -159,7 +159,9 @@ class LiveSender:
         registry: Optional[MetricsRegistry] = None,
         budget: Optional[RunBudget] = None,
         stop_event: Optional[asyncio.Event] = None,
-        on_progress: Optional[Callable[["LiveSender", float], None]] = None,
+        on_progress: Optional[
+            Callable[[Dict[SeqKey, int], Dict[SeqKey, int], int, float], None]
+        ] = None,
         progress_every_trains: int = 32,
         hello_attempts: int = HELLO_ATTEMPTS,
         hello_timeout: float = HELLO_TIMEOUT,
@@ -373,14 +375,14 @@ class LiveSender:
         self.stats.trains_sent += 1
 
     def _report_progress(self) -> None:
-        # The callback reads the logs itself: joining them here would cost
-        # every report the whole session so far.
+        # The callback gets the logs, not their join: joining them here would
+        # cost every report the whole session so far.
         elapsed = (
             (self.clock.now_ns() - self.epoch_ns) / 1e9
             if self.epoch_ns is not None
             else 0.0
         )
-        self.on_progress(self, elapsed)
+        self.on_progress(self.send_ns, self.protocol.recv_ns, self.epoch_ns, elapsed)
 
     async def _drain(self, drain_timeout: float) -> None:
         """Wait (bounded) for echoes still in flight after the last train.

@@ -98,14 +98,16 @@ class WholePrefixMonitor:
 
 
 # --------------------------------------------------------------- recordings
-def _synthetic_logs(schedule, packets, owd_us, lost, stop_slot=None):
+def _synthetic_logs(schedule, packets, owd_us, lost, stop_slot=None, skew=0.0):
     """Send and receive logs of a session over a synthetic path.
 
     ``owd_us(slot, index)`` is a packet's true one-way delay and
-    ``lost(slot, index)`` whether it is dropped. Returns the send log, the
-    receive log in arrival order (an echo takes the one-way delay back),
-    the epoch, and one ``(elapsed, packets sent, echoes in)`` per report:
-    after every 32nd train, then once after the drain.
+    ``lost(slot, index)`` whether it is dropped. The receiver's clock runs
+    ``1 + skew`` times as fast as the sender's, so with a negative skew the
+    raw OWDs drift down. Returns the send log, the receive log in arrival
+    order (an echo takes the one-way delay back), the epoch, and one
+    ``(elapsed, packets sent, echoes in)`` per report: after every 32nd
+    train, then once after the drain.
     """
     send_ns, arrivals, train_ends = {}, [], []
     for slot in schedule.probe_slots:
@@ -117,7 +119,9 @@ def _synthetic_logs(schedule, packets, owd_us, lost, stop_slot=None):
             send_ns[(slot, index)] = stamp
             if not lost(slot, index):
                 owd = owd_us(slot, index) * 1000
-                arrivals.append((stamp + 2 * owd, (slot, index), stamp + owd + OFFSET_NS))
+                arrived = stamp + owd
+                received = arrived + OFFSET_NS + round(skew * (arrived - EPOCH_NS))
+                arrivals.append((stamp + 2 * owd, (slot, index), received))
         train_ends.append(launch + (packets - 1) * GAP_NS)
     arrivals.sort()
     recv_ns = {key: stamp for _arrival, key, stamp in arrivals}
@@ -136,11 +140,21 @@ def _synthetic_logs(schedule, packets, owd_us, lost, stop_slot=None):
     return send_ns, recv_ns, EPOCH_NS, reports
 
 
-def _episodic_path(seed, episodes, base_us=lambda slot: 300, quiet_until=0, noise=0.004):
+def _episodic_path(
+    seed,
+    episodes,
+    base_us=lambda slot: 300,
+    quiet_until=0,
+    noise=0.004,
+    shoulders=(),
+):
     """Queueing episodes: the delay ramps by up to 30 ms and the second half
     of each episode drops half the packets; elsewhere ``noise`` drops stray
     packets at low delay (end-host losses, which the uncorrelated-loss
-    filter is there to catch). Nothing is lost before ``quiet_until``."""
+    filter is there to catch). Each ``(start, end, queue_us)`` shoulder
+    holds the delay at that queue and drops a tenth of the packets there,
+    stray losses at a moderate delay. Nothing is lost before
+    ``quiet_until``."""
     rng = random.Random(seed)
     draws = {}
 
@@ -155,10 +169,18 @@ def _episodic_path(seed, episodes, base_us=lambda slot: 300, quiet_until=0, nois
                 return (slot - start) / (end - start)
         return None
 
+    def shoulder(slot):
+        for start, end, queue_us in shoulders:
+            if start <= slot < end:
+                return queue_us
+        return None
+
     def owd_us(slot, index):
         jitter, _loss = draw(slot, index)
         phase = episode(slot)
         queue = 0 if phase is None else min(30_000, int(60_000 * phase))
+        if shoulder(slot) is not None:
+            queue = shoulder(slot)
         return base_us(slot) + queue + int(80 * jitter)
 
     def lost(slot, index):
@@ -166,9 +188,11 @@ def _episodic_path(seed, episodes, base_us=lambda slot: 300, quiet_until=0, nois
         if slot < quiet_until:
             return False
         phase = episode(slot)
-        if phase is None:
-            return loss < noise
-        return phase >= 0.5 and loss < 0.5
+        if phase is not None:
+            return phase >= 0.5 and loss < 0.5
+        if shoulder(slot) is not None:
+            return loss < 0.1
+        return loss < noise
 
     return owd_us, lost
 
@@ -189,13 +213,33 @@ def _synthetic_case(name):
     base_us = lambda slot: 300  # noqa: E731
     quiet_until = 0
     stop_slot = None
-    if name == "late-minimum":
+    skew = 0.0
+    shoulders = ()
+    if name.startswith("drift-"):
+        # The receiver's clock runs 50 or 200 ppm slow: the minimum OWD
+        # moves on most reports, for the whole session.
+        skew = -50e-6 if name == "drift-50ppm" else -200e-6
+        if name.endswith("-filtered"):
+            marking = MarkingConfig(filter_uncorrelated_losses=True)
+    elif name == "late-minimum":
         # The delay floor drops by a third after 80% of the session: the
         # rebase shift moves long after the first experiments were fed.
         base_us = lambda slot: 1500 if slot < 1920 else 1000  # noqa: E731
     elif name == "late-minimum-filtered":
         base_us = lambda slot: 1500 if slot < 1920 else 1000  # noqa: E731
         marking = MarkingConfig(filter_uncorrelated_losses=True)
+    elif name == "route-change-filtered":
+        # The filter (at alpha 0.5) judges the stray losses of the first
+        # shoulder noise while the floor is 11 ms: their rebased delay sits
+        # 2.5 ms under the threshold. A route change drops the floor to 1 ms
+        # at slot 1920; rebased by the new minimum they sit 2.5 ms over it
+        # and count, their OWD_max estimates pull the threshold down, and
+        # the second shoulder is congested only with them: its 16 ms sits
+        # between the two thresholds. The kept state must be folded again.
+        episodes = [(300, 420), (900, 1000), (1500, 1600)]
+        base_us = lambda slot: 11_000 if slot < 1920 else 1000  # noqa: E731
+        shoulders = [(1650, 1800, 12_500), (2150, 2350, 16_000)]
+        marking = MarkingConfig(alpha=0.5, filter_uncorrelated_losses=True)
     elif name == "late-first-loss":
         # No loss at all until slot 960, long after the first experiments
         # finalized; the probes before the first OWD_max estimate take the
@@ -205,9 +249,11 @@ def _synthetic_case(name):
     elif name == "stop":
         stop_slot = 1400
     _spec, schedule, config = _session(n_slots, 0.3, 17, marking)
-    owd_us, lost = _episodic_path(5, episodes, base_us, quiet_until)
+    owd_us, lost = _episodic_path(
+        5, episodes, base_us, quiet_until, shoulders=shoulders
+    )
     logs = _synthetic_logs(
-        schedule, config.probe.packets_per_probe, owd_us, lost, stop_slot
+        schedule, config.probe.packets_per_probe, owd_us, lost, stop_slot, skew
     )
     return schedule, config, logs
 
@@ -220,19 +266,13 @@ def mild_session(tmp_path_factory):
     final = {}
 
     class Recording(StreamingMonitor):
-        def observe(self, sender, elapsed):
-            reports.append(
-                (elapsed, len(sender.send_ns), len(sender.protocol.recv_ns))
-            )
-            super().observe(sender, elapsed)
+        def observe(self, send_ns, recv_ns, epoch_ns, elapsed):
+            reports.append((elapsed, len(send_ns), len(recv_ns)))
+            super().observe(send_ns, recv_ns, epoch_ns, elapsed)
 
-        def finish(self, sender):
-            final.update(
-                send_ns=sender.send_ns,
-                recv_ns=sender.protocol.recv_ns,
-                epoch_ns=sender.epoch_ns,
-            )
-            super().finish(sender)
+        def finish(self, send_ns, recv_ns, epoch_ns):
+            final.update(send_ns=send_ns, recv_ns=recv_ns, epoch_ns=epoch_ns)
+            super().finish(send_ns, recv_ns, epoch_ns)
 
     trace = tmp_path_factory.mktemp("mild") / "live.jsonl"
     config = BadabingConfig(p=0.3, n_slots=600)
@@ -283,14 +323,9 @@ def _replay(schedule, config, logs, tmp_path):
                 if number == len(reports) - 1:
                     monitor.finish(records)
             else:
-                sender = SimpleNamespace(
-                    send_ns=sent,
-                    protocol=SimpleNamespace(recv_ns=received),
-                    epoch_ns=epoch_ns,
-                )
-                monitor.observe(sender, elapsed)
+                monitor.observe(sent, received, epoch_ns, elapsed)
                 if number == len(reports) - 1:
-                    monitor.finish(sender)
+                    monitor.finish(sent, received, epoch_ns)
             progress.append((len(fed), monitor.skipped_experiments))
         writer.close()
         series = registry.series("live.frequency", role="sender").points()
@@ -309,7 +344,17 @@ def _assert_same(outputs):
 
 
 @pytest.mark.parametrize(
-    "name", ["late-minimum", "late-minimum-filtered", "late-first-loss", "stop"]
+    "name",
+    [
+        "late-minimum",
+        "late-minimum-filtered",
+        "route-change-filtered",
+        "drift-50ppm",
+        "drift-200ppm",
+        "drift-200ppm-filtered",
+        "late-first-loss",
+        "stop",
+    ],
 )
 def test_windowed_monitor_replays_like_the_whole_prefix_one(name, tmp_path):
     schedule, config, logs = _synthetic_case(name)
@@ -332,19 +377,28 @@ def test_windowed_monitor_replays_like_the_whole_prefix_one(name, tmp_path):
         assert max(record.slot for record in records) < 1400
 
 
-def test_rederive_runs_when_the_minimum_owd_drops_late(tmp_path, monkeypatch):
-    schedule, config, logs = _synthetic_case("late-minimum")
-    shifts = []
+def test_only_the_filtered_monitor_refolds_when_the_minimum_moves(
+    tmp_path, monkeypatch
+):
+    """The uncorrelated-loss filter reads the shift, so with it on a late
+    new minimum folds the kept records again; without it nothing does.
+    The route change needs that fold: without it the outcomes differ."""
+    refolds = []
     rederive = StreamingMonitor._rederive
 
     def spy(self, shift):
-        shifts.append((len(self._kept), shift))
+        refolds.append(len(self._kept))
         rederive(self, shift)
 
     monkeypatch.setattr(StreamingMonitor, "_rederive", spy)
-    _replay(schedule, config, logs, tmp_path)
-    late = [kept for kept, _shift in shifts if kept > 500]
-    assert late, shifts
+    _replay(*_synthetic_case("late-minimum"), tmp_path)
+    assert refolds == []
+    _replay(*_synthetic_case("route-change-filtered"), tmp_path)
+    assert [kept for kept in refolds if kept > 500], refolds
+
+    monkeypatch.setattr(StreamingMonitor, "_rederive", lambda self, shift: None)
+    outputs = _replay(*_synthetic_case("route-change-filtered"), tmp_path)
+    assert outputs["windowed"][0] != outputs["reference"][0]
 
 
 def test_windowed_monitor_replays_a_recorded_mild_session(mild_session, tmp_path):
@@ -375,22 +429,35 @@ class _FixedClock:
         return self.ns / 1e9
 
 
-def test_report_work_does_not_grow_with_the_session(monkeypatch):
+@pytest.mark.parametrize(
+    "skew", [0.0, -50e-6, -200e-6], ids=["steady", "drift-50ppm", "drift-200ppm"]
+)
+def test_report_work_does_not_grow_with_the_session(skew, monkeypatch):
     """Every slot probed, so each report's window is the same size: the
-    records built for report 50 are no more than for report 5."""
+    records built and the records folded into the marker state for report
+    50 are no more than for report 5. A receiver clock that runs slow
+    lowers the minimum OWD on most reports; that costs no fold of the
+    session so far."""
     spec, schedule, config = _session(4000, 1.0, 3, MarkingConfig())
     owd_us, lost = _episodic_path(9, [(500, 560), (1800, 1900)])
     send_ns, recv_ns, _epoch, reports = _synthetic_logs(
-        schedule, config.probe.packets_per_probe, owd_us, lost
+        schedule, config.probe.packets_per_probe, owd_us, lost, skew=skew
     )
-    built = []
+    built, folded = [], []
 
     class CountedRecord(ProbeRecord):
         def __post_init__(self):
             built.append(self.slot)
             super().__post_init__()
 
+    fold = StreamingMonitor._fold
+
+    def counted_fold(self, records, *args):
+        folded.append(len(records))
+        return fold(self, records, *args)
+
     monkeypatch.setattr(session, "ProbeRecord", CountedRecord)
+    monkeypatch.setattr(StreamingMonitor, "_fold", counted_fold)
     clock = _FixedClock()
     monitor = StreamingMonitor(schedule, config)
     sender = LiveSender(
@@ -403,21 +470,29 @@ def test_report_work_does_not_grow_with_the_session(monkeypatch):
     )
     sender.epoch_ns = EPOCH_NS
     sends, arrivals = iter(send_ns.items()), iter(recv_ns.items())
-    per_report = []
+    builds, folds, moved = [], [], 0
     for elapsed, n_sent, n_received in reports[:-1]:
         sender.send_ns.update(islice(sends, n_sent - len(sender.send_ns)))
         received = sender.protocol.recv_ns
         received.update(islice(arrivals, n_received - len(received)))
         clock.ns = EPOCH_NS + round(elapsed * 1e9)
         built.clear()
+        folded.clear()
+        minimum = monitor._minimum
         sender._report_progress()
-        per_report.append(len(built))
-    assert len(per_report) >= 100
-    assert per_report[49] <= per_report[4]
-    # A report joins its 32 new trains plus the trains inside tau + margin
-    # of the horizon, and a few slots of the experiment straddling it.
+        builds.append(len(built))
+        folds.append(sum(folded))
+        moved += monitor._minimum != minimum
+    assert len(builds) >= 100
+    if skew:
+        assert moved >= 0.9 * len(builds)
+    # A report joins and folds its 32 new trains plus the trains inside
+    # tau + margin of the horizon, and a few slots of the experiment
+    # straddling it.
     window = (config.marking.tau + FINALIZE_MARGIN) / config.probe.slot
-    assert max(per_report) <= REPORT_EVERY + window + 4
+    for counts in (builds, folds):
+        assert counts[49] <= counts[4]
+        assert max(counts) <= REPORT_EVERY + window + 4
 
 
 # ----------------------------------------------------------------- log join
