@@ -7,12 +7,21 @@ socket polls — at 50 paths it must stay under 5 ms per tick or it starts
 eating into probe-schedule deadlines. Second, interleaving those
 decision passes with a reflector's datagram hot path must not tax the
 per-datagram cost by more than 1.10× versus the same flood with the
-controller off. Both are measured min-of-several with interleaved modes
-and recorded through the shared :class:`~repro.obs.bench.BenchRecorder`.
+controller off. Both are recorded through the shared
+:class:`~repro.obs.bench.BenchRecorder`.
+
+The decision pass is timed as the minimum of several runs. The datagram
+tax compares the median of per-pair ratios over alternating pairs of
+floods with the budget, as the observability gates do: on a 2-vCPU VM the
+ratio of the two modes' minimum of three floods read 0.91 to 1.23 over
+ten runs of unchanged code and failed four, while the paired median read
+1.02 to 1.07 over ten runs, and 1.24 to 1.32 over ten runs with a 1.2x
+slowdown put into the controller-on flood.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from collections import Counter
 
@@ -26,6 +35,7 @@ from repro.live.session import make_session_id, spec_for
 N_PATHS = 50
 N_TICKS = 40
 REPEATS = 3
+PAIRS = 21
 MAX_STEP_SECONDS = 0.005
 MAX_DATAGRAM_RATIO = 1.10
 
@@ -175,17 +185,29 @@ def _timed_flood(hello, probes, controller=None) -> float:
 def test_controller_on_datagram_overhead_within_budget(archive, bench_record):
     hello, probes = _session_datagrams(1, _config(), FLOOD_PACKETS)
     _timed_flood(hello, probes)  # warm-up
-    on_s = off_s = float("inf")
-    for _ in range(REPEATS):
-        off_s = min(off_s, _timed_flood(hello, probes))
-        on_s = min(on_s, _timed_flood(hello, probes, _make_controller(N_PATHS)))
-    ratio = on_s / off_s
+    ratios, off_times, on_times = [], [], []
+    for index in range(PAIRS):
+        # Odd pairs flood with the controller on first, so neither mode
+        # always pays for the other's garbage.
+        if index % 2:
+            on_s = _timed_flood(hello, probes, _make_controller(N_PATHS))
+            off_s = _timed_flood(hello, probes)
+        else:
+            off_s = _timed_flood(hello, probes)
+            on_s = _timed_flood(hello, probes, _make_controller(N_PATHS))
+        ratios.append(on_s / off_s)
+        off_times.append(off_s)
+        on_times.append(on_s)
+    ratio = statistics.median(ratios)
+    off_s = statistics.median(off_times)
+    on_s = statistics.median(on_times)
     report = (
         f"controller-on vs controller-off reflector flood "
         f"({FLOOD_PACKETS} datagrams, one step() per {STEP_EVERY}, "
-        f"min of {REPEATS}):\n"
+        f"median of {PAIRS} alternating pairs):\n"
         f"  controller off: {off_s * 1e9 / FLOOD_PACKETS:8.1f} ns/datagram\n"
         f"  controller on:  {on_s * 1e9 / FLOOD_PACKETS:8.1f} ns/datagram\n"
+        f"  pair ratios:    {min(ratios):8.3f}x .. {max(ratios):.3f}x\n"
         f"  ratio: {ratio:.3f}x (budget {MAX_DATAGRAM_RATIO:.2f}x)"
     )
     archive("bench_controller_overhead", report)

@@ -15,6 +15,10 @@ in time* and *delayed like a full queue*:
    one-way delay exceeds ``(1 − alpha) × mean(OWD_max)``.
 
 This assumes FIFO queueing at the congestion point, as the paper notes.
+
+:class:`MarkerState` holds the first pass, resumable, and pass 2's delay
+test: :class:`CongestionMarker`, the live monitor and the batch marker all
+fold through it, so the rule is written once.
 """
 
 from __future__ import annotations
@@ -64,6 +68,122 @@ def _aggregate(history: "Deque[float]", statistic: str) -> float:
     return 0.5 * (ordered[middle - 1] + ordered[middle])
 
 
+class MarkerState:
+    """Pass 1 of the §6.1 rule, resumable, and pass 2's delay test.
+
+    Holds the bounded OWD_max history, the last delivered OWD, the times of
+    the losses that count and the threshold ``(1 − alpha) ×
+    aggregate(history)`` (None while the history is empty). OWDs are kept
+    as the records carry them and read as ``raw − shift``, the value a
+    record rebased by ``shift`` carries, so a new shift (:meth:`rebase`)
+    costs one pass over the history.
+    """
+
+    def __init__(self, config: MarkingConfig):
+        self.config = config
+        self.history: Deque[float] = deque(maxlen=config.owd_history)
+        self.last_owd: Optional[float] = None
+        self.loss_times: List[float] = []
+        self.shift = 0.0
+        self.threshold: Optional[float] = None
+        #: The state this one was forked from; its losses count in pass 2.
+        self._origin: Optional[MarkerState] = None
+
+    def rebase(self, shift: float) -> None:
+        """Read every OWD as ``raw − shift`` from now on."""
+        self.shift = shift
+        self._set_threshold()
+
+    def fork(self) -> MarkerState:
+        """A copy that starts its own loss times and reads this state's in
+        :meth:`delayed`: it costs the history, not the session."""
+        fork = MarkerState(self.config)
+        fork.history.extend(self.history)
+        fork.last_owd = self.last_owd
+        fork.shift = self.shift
+        fork.threshold = self.threshold
+        fork._origin = self
+        return fork
+
+    def lose(
+        self,
+        send_time: float,
+        max_owd: Optional[float],
+        owd_before_loss: Optional[float],
+    ) -> bool:
+        """Fold one lossy probe; True when it is judged end-host noise.
+
+        With ``filter_uncorrelated_losses``, a loss whose delay evidence (its
+        largest delivered OWD, else the OWD before the loss) sits below the
+        threshold is end-host/NIC noise, not a full queue (§6.1's "filters
+        loss at end host operating system buffers", made explicit). Any
+        other loss anchors the tau rule, and its OWD_max estimate (the OWD
+        before the loss, else :attr:`last_owd`) enters the history.
+        """
+        evidence = max_owd if max_owd is not None else owd_before_loss
+        if (
+            self.config.filter_uncorrelated_losses
+            and self.threshold is not None
+            and evidence is not None
+            and evidence - self.shift < self.threshold
+        ):
+            return True
+        self.loss_times.append(send_time)
+        estimate = owd_before_loss if owd_before_loss is not None else self.last_owd
+        if estimate is not None:
+            self.history.append(estimate)
+            self._set_threshold()
+        return False
+
+    def fold(
+        self,
+        records: Sequence[ProbeRecord],
+        thresholds: Optional[List[Optional[float]]] = None,
+        noise: Optional[List[bool]] = None,
+    ) -> None:
+        """Pass 1 over ``records``; appends each record's threshold after it
+        and its noise verdict to the lists, when given, for pass 2."""
+        for record in records:
+            is_noise = record.lost and self.lose(
+                record.send_time, record.max_owd, record.owd_before_loss
+            )
+            if thresholds is not None:
+                thresholds.append(self.threshold)
+                noise.append(is_noise)
+            if record.owds:
+                self.last_owd = record.owds[-1]
+
+    def delayed(self, record: ProbeRecord, threshold: Optional[float]) -> bool:
+        """Pass 2's delay test: the record's largest OWD exceeds its pass-1
+        ``threshold`` and it was sent within tau of a loss, before or after
+        it. The rule looks both ways, so a record from before the first
+        OWD_max estimate takes the end-of-stream threshold: ask the state
+        that folded the whole stream."""
+        if threshold is None:
+            threshold = self.threshold
+        max_owd = record.max_owd
+        return (
+            threshold is not None
+            and max_owd is not None
+            and max_owd - self.shift > threshold
+            and self._near_loss(record.send_time)
+        )
+
+    def _near_loss(self, time: float) -> bool:
+        if self.loss_times and (
+            _nearest_distance(self.loss_times, time) <= self.config.tau
+        ):
+            return True
+        return self._origin is not None and self._origin._near_loss(time)
+
+    def _set_threshold(self) -> None:
+        if self.history:
+            shift = self.shift
+            self.threshold = (1.0 - self.config.alpha) * _aggregate(
+                [owd - shift for owd in self.history], self.config.owd_statistic
+            )
+
+
 class CongestionMarker:
     """Applies the §6.1 marking rule to a chronological probe stream."""
 
@@ -73,103 +193,37 @@ class CongestionMarker:
     def mark(self, probes: Sequence[ProbeRecord]) -> MarkingResult:
         """Mark every probe; returns per-slot states keyed by slot index.
 
-        ``probes`` must be sorted by send time (one probe per slot).
+        ``probes`` must be sorted by send time. A slot probed more than
+        once keeps its last probe's state; each probe counts on its own.
         """
         with _profiling.profile_stage("marking.apply"):
             return self._mark(probes)
 
     def _mark(self, probes: Sequence[ProbeRecord]) -> MarkingResult:
-        cfg = self.config
         for i in range(1, len(probes)):
             if probes[i].send_time < probes[i - 1].send_time:
                 raise ConfigurationError("probes must be sorted by send time")
 
-        # Pass 1: collect loss times and the running OWD_max estimates.
-        loss_times: List[float] = []
-        noise_loss_slots = set()
-        history: Deque[float] = deque(maxlen=cfg.owd_history)
-        #: Aggregated OWD_max threshold as of each probe, in probe order.
+        state = MarkerState(self.config)
         thresholds: List[Optional[float]] = []
-        last_success_owd: Optional[float] = None
-        for probe in probes:
-            if probe.lost:
-                # Optionally classify the loss: a loss whose own delay
-                # evidence sits well below the congestion threshold did not
-                # come from a full queue — it is end-host/NIC noise and
-                # must not anchor the tau rule or feed the threshold
-                # history (§6.1's "filters loss at end host operating
-                # system buffers", made explicit).
-                current = (
-                    (1.0 - cfg.alpha) * _aggregate(history, cfg.owd_statistic)
-                    if history
-                    else None
-                )
-                evidence = probe.max_owd
-                if evidence is None:
-                    evidence = probe.owd_before_loss
-                is_noise = (
-                    cfg.filter_uncorrelated_losses
-                    and current is not None
-                    and evidence is not None
-                    and evidence < current
-                )
-                if is_noise:
-                    noise_loss_slots.add(probe.slot)
-                else:
-                    loss_times.append(probe.send_time)
-                    estimate = probe.owd_before_loss
-                    if estimate is None:
-                        # Fall back to the newest delivery seen anywhere
-                        # before this loss (the sender/receiver join
-                        # supplies owd_before_loss when it can be
-                        # attributed precisely).
-                        estimate = last_success_owd
-                    if estimate is not None:
-                        history.append(estimate)
-            thresholds.append(
-                (1.0 - cfg.alpha) * _aggregate(history, cfg.owd_statistic)
-                if history
-                else None
-            )
-            if probe.owds:
-                last_success_owd = probe.owds[-1]
+        noise: List[bool] = []
+        state.fold(probes, thresholds, noise)
 
-        # Probes that predate the first OWD_max estimate fall back to the
-        # end-of-run mean: the tau rule is symmetric in time ("within tau
-        # seconds of an indication of a lost packet" looks both ways), so
-        # the delay threshold must be available on both sides too.
-        final_threshold: Optional[float] = (
-            (1.0 - cfg.alpha) * _aggregate(history, cfg.owd_statistic)
-            if history
-            else None
-        )
-        thresholds = [
-            threshold if threshold is not None else final_threshold
-            for threshold in thresholds
-        ]
-
-        # Pass 2: mark.
-        result = MarkingResult(slot_states={})
-        for probe, threshold in zip(probes, thresholds):
-            if probe.lost and probe.slot not in noise_loss_slots:
-                result.slot_states[probe.slot] = True
-                result.marked_by_loss += 1
-                continue
-            if probe.slot in noise_loss_slots:
-                # Reclassified end-host loss: fall through to the delay
+        result = MarkingResult(slot_states={}, owd_max_estimates=list(state.history))
+        for probe, threshold, is_noise in zip(probes, thresholds, noise):
+            if is_noise:
+                # A loss judged end-host noise falls through to the delay
                 # rule like any other probe (its surviving packets still
                 # carry delay evidence).
                 result.noise_losses += 1
-            congested = False
-            if threshold is not None and loss_times:
-                near_loss = _nearest_distance(loss_times, probe.send_time) <= cfg.tau
-                max_owd = probe.max_owd
-                if near_loss and max_owd is not None and max_owd > threshold:
-                    congested = True
+            elif probe.lost:
+                result.slot_states[probe.slot] = True
+                result.marked_by_loss += 1
+                continue
+            congested = state.delayed(probe, threshold)
             if congested:
                 result.marked_by_delay += 1
             result.slot_states[probe.slot] = congested
-        result.owd_max_estimates = list(history)
         return result
 
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from collections import deque
 from dataclasses import dataclass
 from math import floor
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import Clock, MonotonicClock, rebase_probe_owds
 from repro.core.estimators import frequency_from_counter
-from repro.core.marking import _aggregate, _nearest_distance
+from repro.core.marking import MarkerState
 from repro.core.records import ExperimentOutcome, ProbeRecord
 from repro.core.result import BadabingResult, assemble_result
 from repro.core.schedule import GeometricSchedule
@@ -90,14 +89,15 @@ class StreamingMonitor:
     :meth:`~repro.core.marking.CongestionMarker.mark` over
     :func:`~repro.core.clock.rebase_probe_owds` of the full join would, but
     joins only the slots from the next unfed experiment on. Records below
-    that slot are final: they were joined once and folded into the marker's
-    running state (the OWD_max history, the last delivered OWD and the loss
-    times), which holds raw OWDs. The rebase shift is the smallest OWD seen,
-    and the marker's arithmetic runs on ``raw - shift`` each report, so a new
-    minimum, which a drifting clock brings on most reports, costs nothing
-    more. Only the uncorrelated-loss filter decides from the shift which
-    losses enter that state; with it on, the monitor keeps the final records
-    and folds them again whenever the minimum moves. A record counts as
+    that slot are final: they were joined once and folded into one
+    :class:`~repro.core.marking.MarkerState`, the marker's own first pass,
+    which holds raw OWDs; each report folds the rest into a fork of it. The
+    rebase shift is the smallest OWD seen, and the state reads ``raw -
+    shift``, so a new minimum, which a drifting clock brings on most
+    reports, costs a pass over the OWD_max history. Only the uncorrelated-
+    loss filter decides from the shift which losses enter that state; with
+    it on, the monitor keeps the final records and folds them again whenever
+    the minimum moves. A record counts as
     final once its slot is past the horizon, so an echo later than
     ``tau + margin`` misses the live view and the trace, as it always has
     for the trace.
@@ -135,13 +135,10 @@ class StreamingMonitor:
         self._minimum: Optional[float] = None
         self._newest = 0.0
         #: Marker state after the slots below ``_kept_slot``, in raw OWDs.
-        self._history: Deque[float] = deque(maxlen=config.marking.owd_history)
-        self._last_owd: Optional[float] = None
-        self._loss_times: List[float] = []
+        self._state = MarkerState(config.marking)
         #: With the uncorrelated-loss filter on, the records below
-        #: ``_kept_slot`` and the shift the state above was folded under.
+        #: ``_kept_slot``, to fold again under a new shift.
         self._kept: List[ProbeRecord] = []
-        self._shift = 0.0
 
     def observe(
         self,
@@ -190,9 +187,12 @@ class StreamingMonitor:
                 if self._minimum is None or low < self._minimum:
                     self._minimum = low
         shift = 0.0 if self._minimum is None else self._minimum
-        marking = self.config.marking
-        if marking.filter_uncorrelated_losses and shift != self._shift:
-            self._rederive(shift)
+        filtered = self.config.marking.filter_uncorrelated_losses
+        if shift != self._state.shift:
+            if filtered:
+                self._rederive(shift)
+            else:
+                self._state.rebase(shift)
 
         experiments = self._experiments
         first = stop = self._next_experiment
@@ -213,51 +213,22 @@ class StreamingMonitor:
             split += 1
 
         # Pass 1: records that become final now advance the kept state;
-        # the rest run on a copy, to the end of the log, because probes
+        # the rest run on a fork, to the end of the log, because probes
         # before the first OWD_max estimate take the end-of-log threshold,
         # the one after the newest record.
-        verdicts: List[Tuple[Optional[float], bool]] = []
-        self._last_owd = self._fold(
-            window[:split],
-            shift,
-            self._history,
-            self._last_owd,
-            self._loss_times,
-            verdicts,
-        )
-        recent_losses: List[float] = []
-        self._fold(
-            window[split:],
-            shift,
-            deque(self._history, maxlen=self._history.maxlen),
-            self._last_owd,
-            recent_losses,
-            verdicts,
-        )
+        thresholds: List[Optional[float]] = []
+        noise: List[bool] = []
+        self._state.fold(window[:split], thresholds, noise)
+        tail = self._state.fork()
+        tail.fold(window[split:], thresholds, noise)
 
         # Pass 2: the tau rule looks both ways, over every loss so far.
-        final = verdicts[-1][0] if verdicts else None
-        any_loss = bool(self._loss_times or recent_losses)
         states: Dict[int, bool] = {}
-        for record, (threshold, noise) in zip(window, verdicts):
+        for record, threshold, is_noise in zip(window, thresholds, noise):
             if record.slot >= finalize_slot:
                 break
-            if record.lost and not noise:
-                states[record.slot] = True
-                continue
-            if threshold is None:
-                threshold = final
-            max_owd = record.max_owd
-            states[record.slot] = (
-                threshold is not None
-                and any_loss
-                and max_owd is not None
-                and max_owd - shift > threshold
-                and min(
-                    _nearest_distance(self._loss_times, record.send_time),
-                    _nearest_distance(recent_losses, record.send_time),
-                )
-                <= marking.tau
+            states[record.slot] = (record.lost and not is_noise) or tail.delayed(
+                record, threshold
             )
 
         for experiment in experiments[first:stop]:
@@ -288,69 +259,16 @@ class StreamingMonitor:
                 ]
             )
 
-        if marking.filter_uncorrelated_losses:
+        if filtered:
             self._kept.extend(window[:split])
         self._kept_slot = kept
         self._written_slot = written
 
     def _rederive(self, shift: float) -> None:
         """Fold the kept records again under a new rebase shift (filter on)."""
-        self._history.clear()
-        self._loss_times.clear()
-        self._last_owd = self._fold(
-            self._kept, shift, self._history, None, self._loss_times, None
-        )
-        self._shift = shift
-
-    def _fold(
-        self,
-        records: List[ProbeRecord],
-        shift: float,
-        history: Deque[float],
-        last_owd: Optional[float],
-        loss_times: List[float],
-        verdicts: Optional[List[Tuple[Optional[float], bool]]],
-    ) -> Optional[float]:
-        """Pass 1 of :meth:`CongestionMarker.mark
-        <repro.core.marking.CongestionMarker.mark>`, resumed.
-
-        Folds ``records`` into ``history`` and ``loss_times`` from
-        ``last_owd``, the last delivered OWD before them, and returns the
-        new one. The records, ``history`` and ``last_owd`` hold raw OWDs;
-        the marker's arithmetic runs on each minus ``shift``, as on rebased
-        records, so the states match it bit for bit. When ``verdicts`` is
-        given, appends each record's delay threshold (None before the first
-        OWD_max estimate) and whether its loss was filtered as end-host
-        noise.
-        """
-        marking = self.config.marking
-        scale = 1.0 - marking.alpha
-        statistic = marking.owd_statistic
-        noise_filter = marking.filter_uncorrelated_losses
-        rebased = deque((owd - shift for owd in history), maxlen=history.maxlen)
-        threshold = scale * _aggregate(rebased, statistic) if rebased else None
-        for record in records:
-            noise = False
-            if record.lost:
-                evidence = record.max_owd
-                if evidence is None:
-                    evidence = record.owd_before_loss
-                if noise_filter and threshold is not None and evidence is not None:
-                    noise = evidence - shift < threshold
-                if not noise:
-                    loss_times.append(record.send_time)
-                    estimate = record.owd_before_loss
-                    if estimate is None:
-                        estimate = last_owd
-                    if estimate is not None:
-                        history.append(estimate)
-                        rebased.append(estimate - shift)
-                        threshold = scale * _aggregate(rebased, statistic)
-            if verdicts is not None:
-                verdicts.append((threshold, noise))
-            if record.owds:
-                last_owd = record.owds[-1]
-        return last_owd
+        self._state = MarkerState(self.config.marking)
+        self._state.rebase(shift)
+        self._state.fold(self._kept)
 
 
 @dataclass

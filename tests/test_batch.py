@@ -58,32 +58,41 @@ def assert_same_estimate(a, b):
 
 @st.composite
 def probe_streams(draw):
-    """A chronological probe stream over a small slot window."""
+    """A chronological probe stream over a small slot window.
+
+    Now and then a slot gets a second, later probe (the trace loader
+    accepts such a stream): the slot keeps the second probe's state, and
+    each probe's loss counts on its own.
+    """
     n_slots = draw(st.integers(2, 40))
     probes = []
     for slot in range(n_slots):
         if not draw(st.booleans()):
             continue
-        offset = draw(st.floats(0.0, 0.004, allow_nan=False))
-        delivered = draw(st.integers(0, 3))
-        owds = tuple(
-            draw(st.floats(0.001, 0.2, allow_nan=False)) for _ in range(delivered)
-        )
-        lost = delivered < 3
-        obl = (
-            draw(st.one_of(st.none(), st.floats(0.001, 0.2, allow_nan=False)))
-            if lost
-            else None
-        )
-        probes.append(
-            ProbeRecord(
-                slot=slot,
-                send_time=slot * 0.005 + offset,
-                n_packets=3,
-                owds=owds,
-                owd_before_loss=obl,
+        offsets = [draw(st.floats(0.0, 0.004, allow_nan=False))]
+        if draw(st.integers(0, 4)) == 0:
+            offsets.append(draw(st.floats(offsets[0], 0.0045, allow_nan=False)))
+        for offset in offsets:
+            delivered = draw(st.integers(0, 3))
+            owds = tuple(
+                draw(st.floats(0.001, 0.2, allow_nan=False))
+                for _ in range(delivered)
             )
-        )
+            lost = delivered < 3
+            obl = (
+                draw(st.one_of(st.none(), st.floats(0.001, 0.2, allow_nan=False)))
+                if lost
+                else None
+            )
+            probes.append(
+                ProbeRecord(
+                    slot=slot,
+                    send_time=slot * 0.005 + offset,
+                    n_packets=3,
+                    owds=owds,
+                    owd_before_loss=obl,
+                )
+            )
     return n_slots, probes
 
 

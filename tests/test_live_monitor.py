@@ -19,7 +19,7 @@ import pytest
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
 from repro.core.clock import MonotonicClock, rebase_probe_owds
 from repro.core.estimators import frequency_from_counter
-from repro.core.marking import CongestionMarker
+from repro.core.marking import CongestionMarker, MarkerState
 from repro.core.records import ExperimentOutcome, ProbeRecord
 from repro.core.result import assemble_result
 from repro.core.validation import SequentialValidator
@@ -205,6 +205,18 @@ def _session(n_slots, p, seed, marking):
     return spec, schedule_from_spec(spec), config_from_spec(spec, marking)
 
 
+#: Markings of the drifting cases other than the default. A short history
+#: is evicted across the kept/forked boundary, and a median or max over it
+#: is taken of rebased values.
+DRIFT_MARKINGS = {
+    "drift-200ppm-filtered": MarkingConfig(filter_uncorrelated_losses=True),
+    "drift-200ppm-median-2": MarkingConfig(owd_history=2, owd_statistic="median"),
+    "drift-200ppm-max-3-filtered": MarkingConfig(
+        owd_history=3, owd_statistic="max", filter_uncorrelated_losses=True
+    ),
+}
+
+
 def _synthetic_case(name):
     """(schedule, config, logs) of one named synthetic replay case."""
     n_slots = 2400
@@ -219,8 +231,7 @@ def _synthetic_case(name):
         # The receiver's clock runs 50 or 200 ppm slow: the minimum OWD
         # moves on most reports, for the whole session.
         skew = -50e-6 if name == "drift-50ppm" else -200e-6
-        if name.endswith("-filtered"):
-            marking = MarkingConfig(filter_uncorrelated_losses=True)
+        marking = DRIFT_MARKINGS.get(name, marking)
     elif name == "late-minimum":
         # The delay floor drops by a third after 80% of the session: the
         # rebase shift moves long after the first experiments were fed.
@@ -352,6 +363,8 @@ def _assert_same(outputs):
         "drift-50ppm",
         "drift-200ppm",
         "drift-200ppm-filtered",
+        "drift-200ppm-median-2",
+        "drift-200ppm-max-3-filtered",
         "late-first-loss",
         "stop",
     ],
@@ -382,21 +395,26 @@ def test_only_the_filtered_monitor_refolds_when_the_minimum_moves(
 ):
     """The uncorrelated-loss filter reads the shift, so with it on a late
     new minimum folds the kept records again; without it nothing does.
-    The route change needs that fold: without it the outcomes differ."""
+    The route change needs that fold: rebased without it, as with the
+    filter off, the outcomes differ."""
     refolds = []
-    rederive = StreamingMonitor._rederive
+    fold = MarkerState.fold
 
-    def spy(self, shift):
-        refolds.append(len(self._kept))
-        rederive(self, shift)
+    def spy(self, records, thresholds=None, noise=None):
+        # Only a fold of records already judged asks for no verdicts.
+        if thresholds is None:
+            refolds.append(len(records))
+        fold(self, records, thresholds, noise)
 
-    monkeypatch.setattr(StreamingMonitor, "_rederive", spy)
+    monkeypatch.setattr(MarkerState, "fold", spy)
     _replay(*_synthetic_case("late-minimum"), tmp_path)
     assert refolds == []
     _replay(*_synthetic_case("route-change-filtered"), tmp_path)
     assert [kept for kept in refolds if kept > 500], refolds
 
-    monkeypatch.setattr(StreamingMonitor, "_rederive", lambda self, shift: None)
+    monkeypatch.setattr(
+        StreamingMonitor, "_rederive", lambda self, shift: self._state.rebase(shift)
+    )
     outputs = _replay(*_synthetic_case("route-change-filtered"), tmp_path)
     assert outputs["windowed"][0] != outputs["reference"][0]
 
@@ -452,14 +470,14 @@ def test_report_work_does_not_grow_with_the_session(skew, monkeypatch):
             built.append(self.slot)
             super().__post_init__()
 
-    fold = StreamingMonitor._fold
+    fold = MarkerState.fold
 
     def counted_fold(self, records, *args):
         folded.append(len(records))
         return fold(self, records, *args)
 
     monkeypatch.setattr(session, "ProbeRecord", CountedRecord)
-    monkeypatch.setattr(StreamingMonitor, "_fold", counted_fold)
+    monkeypatch.setattr(MarkerState, "fold", counted_fold)
     clock = _FixedClock()
     monitor = StreamingMonitor(schedule, config)
     sender = LiveSender(

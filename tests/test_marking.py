@@ -215,6 +215,23 @@ def test_noise_filter_off_by_default():
     assert result.noise_losses == 0
 
 
+def test_noise_verdict_is_per_probe_in_a_repeated_slot():
+    # Slot 2 is probed twice: a loss at floor delay (noise), then a probe
+    # lost whole whose OWD before the loss is full-queue delay. Each loss is
+    # judged on its own, and the slot keeps its last probe's state.
+    cfg = MarkingConfig(alpha=0.1, tau=0.05, filter_uncorrelated_losses=True)
+    probes = [
+        probe(0, 0.000, [FULL, FULL], owd_before_loss=FULL),
+        probe(2, 0.010, [BASE, BASE], owd_before_loss=BASE),
+        probe(2, 0.012, [], owd_before_loss=FULL),
+        probe(4, 0.020, [FULL - 0.002] * 3),
+    ]
+    result = CongestionMarker(cfg).mark(probes)
+    assert result.slot_states == {0: True, 2: True, 4: True}
+    assert (result.marked_by_loss, result.marked_by_delay) == (2, 1)
+    assert result.noise_losses == 1
+
+
 def test_noise_filter_keeps_real_losses():
     # A loss with full-queue delay evidence stays a congestion loss even
     # with the filter on.
