@@ -26,7 +26,6 @@ import zipfile
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro import profiling as _profiling
@@ -266,10 +265,12 @@ class TraceWriter:
             self._handle.write(_probe_line(probe) + "\n")
             self._handle.flush()
         else:
-            started = perf_counter()
-            self._handle.write(_probe_line(probe) + "\n")
-            self._handle.flush()
-            prof.record("trace.io", perf_counter() - started)
+            frame = prof.start("trace.io")
+            try:
+                self._handle.write(_probe_line(probe) + "\n")
+                self._handle.flush()
+            finally:
+                prof.stop(frame)
         self.probes_written += 1
 
     def write_probes(self, probes: List[ProbeRecord]) -> None:
@@ -291,10 +292,12 @@ class TraceWriter:
             self._handle.write(payload)
             self._handle.flush()
         else:
-            started = perf_counter()
-            self._handle.write(payload)
-            self._handle.flush()
-            prof.record("trace.io", perf_counter() - started)
+            frame = prof.start("trace.io")
+            try:
+                self._handle.write(payload)
+                self._handle.flush()
+            finally:
+                prof.stop(frame)
         self.probes_written += len(probes)
 
     def close(self) -> None:

@@ -58,7 +58,7 @@ from repro.core.validation import (
 )
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.net.simulator import _stable_seed
-from repro.obs.artifacts import ensure_parent_dir
+from repro.obs.artifacts import ensure_parent_dir, read_ndjson_records
 from repro.obs.metrics import MetricsRegistry, NullRegistry, snapshot_digest
 
 #: Schema identifier carried by every controller event record.
@@ -769,31 +769,10 @@ class FleetController:
 
 
 # ------------------------------------------------------------------ validation
-def read_controller_events(path, tolerate_truncation: bool = True) -> List[Dict[str, Any]]:
-    """Read a controller NDJSON event log into records.
-
-    A truncated *final* line (process killed mid-write) is dropped when
-    ``tolerate_truncation``; truncation anywhere else is an error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read controller events {path}: {exc}")
-    records: List[Dict[str, Any]] = []
-    for number, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            records.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            if tolerate_truncation and number == len(lines):
-                break
-            raise ObservabilityError(
-                f"{path}: line {number} is invalid JSON ({exc.msg})"
-            )
-    return records
+def read_controller_events(path) -> List[Dict[str, Any]]:
+    """Read a controller NDJSON event log into records (see
+    :func:`~repro.obs.artifacts.read_ndjson_records`)."""
+    return read_ndjson_records(path, "controller events")
 
 
 def validate_controller_record(record: Any, where: str = "record") -> List[str]:

@@ -107,7 +107,6 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
         impairment_for=None,
         mode: str = "echo",
         recent_capacity: int = RECENT_SESSIONS,
-        nak_unknown: bool = True,
     ):
         if mode not in MODES:
             raise LiveSessionError(f"reflector mode must be one of {MODES}: {mode!r}")
@@ -120,7 +119,6 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
         #: duplicate probes from these count as duplicates, not unknowns.
         self.recent_sessions: "OrderedDict[int, int]" = OrderedDict()
         self.recent_capacity = max(0, recent_capacity)
-        self.nak_unknown = nak_unknown
         self.wire_errors = 0
         self.unknown_session = 0
         self.unexpected_kind = 0
@@ -289,8 +287,7 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
             # throttled NAK tells a legitimate sender mid-session that the
             # reflector restarted and lost its state.
             self.unknown_session += 1
-            if self.nak_unknown:
-                self._maybe_nak(header.session, addr)
+            self._maybe_nak(header.session, addr)
             return
         now_ns = self.clock.now_ns()
         session.last_seen_ns = now_ns

@@ -77,13 +77,13 @@ class StreamingMonitor:
     The sender calls ``observe(send_ns, recv_ns, epoch_ns, elapsed)`` with
     its send and receive logs every few trains, and ``finish(send_ns,
     recv_ns, epoch_ns)`` once the session is over. Experiments whose last
-    slot ended more than ``tau + margin`` seconds ago are *finalized*: their
-    outcomes are folded into the sequential validator (in start-slot order,
-    exactly once), the running F̂ is appended to the ``live.frequency``
-    series, and the finalized records are flushed to the trace writer. The
-    final authoritative result is still recomputed from scratch by
-    :func:`~repro.core.result.assemble_result` — this monitor is the live
-    view, not a second estimator.
+    slot ended more than ``tau + FINALIZE_MARGIN`` seconds ago are
+    *finalized*: their outcomes are folded into the sequential validator
+    (in start-slot order, exactly once), the running F̂ is appended to the
+    ``live.frequency`` series, and the finalized records are flushed to
+    the trace writer. The final authoritative result is still recomputed
+    from scratch by :func:`~repro.core.result.assemble_result` — this
+    monitor is the live view, not a second estimator.
 
     Each report marks what a whole-prefix
     :meth:`~repro.core.marking.CongestionMarker.mark` over
@@ -99,8 +99,8 @@ class StreamingMonitor:
     it on, the monitor keeps the final records and folds them again whenever
     the minimum moves. A record counts as
     final once its slot is past the horizon, so an echo later than
-    ``tau + margin`` misses the live view and the trace, as it always has
-    for the trace.
+    ``tau + FINALIZE_MARGIN`` misses the live view and the trace, as it
+    always has for the trace.
     """
 
     def __init__(
@@ -109,13 +109,11 @@ class StreamingMonitor:
         config: BadabingConfig,
         registry: Optional[MetricsRegistry] = None,
         writer: Optional[TraceWriter] = None,
-        margin: float = FINALIZE_MARGIN,
     ):
         self.schedule = schedule
         self.config = config
         self.registry = registry if registry is not None else NullRegistry()
         self.writer = writer
-        self.margin = margin
         self.validator = SequentialValidator()
         self._experiments = sorted(
             schedule.experiments, key=lambda experiment: experiment.start_slot
@@ -148,7 +146,7 @@ class StreamingMonitor:
         elapsed: float,
     ) -> None:
         """Fold the experiments finalized ``elapsed`` seconds into the session."""
-        horizon = elapsed - self.config.marking.tau - self.margin
+        horizon = elapsed - self.config.marking.tau - FINALIZE_MARGIN
         if horizon <= 0:
             return
         finalize_slot = floor(horizon / self.config.probe.slot)

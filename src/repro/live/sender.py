@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.clock import Clock, MonotonicClock
@@ -293,7 +293,7 @@ class LiveSender:
         )
 
     # ----------------------------------------------------------------- probing
-    async def run(self, drain_timeout: float = DRAIN_TIMEOUT) -> List[ProbeRecord]:
+    async def run(self) -> List[ProbeRecord]:
         """Handshake, walk the schedule, drain, FIN; return joined records."""
         await self.handshake()
         clock = self.clock
@@ -341,7 +341,7 @@ class LiveSender:
             if self.on_progress is not None and since_progress >= self.progress_every_trains:
                 since_progress = 0
                 self._report_progress()
-        await self._drain(drain_timeout)
+        await self._drain(DRAIN_TIMEOUT)
         await self._fin()
         self.stats.echoes_received = len(self.protocol.recv_ns)
         self.stats.duplicate_echoes = self.protocol.duplicate_echoes

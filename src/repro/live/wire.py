@@ -41,8 +41,6 @@ import struct
 from dataclasses import dataclass
 from typing import Tuple
 
-from time import perf_counter
-
 from repro import profiling as _profiling
 from repro.errors import WireFormatError
 
@@ -187,16 +185,16 @@ def _check_range(name: str, value: int, ceiling: int) -> int:
 
 def encode_header(header: ProbeHeader) -> bytes:
     """Pack a header, validating every field range first."""
-    # Every encoder funnels through here, so this one leaf record covers
-    # the whole encode surface (probe/echo/hello/control/busy).
+    # Every encoder funnels through here, so this one frame covers the
+    # whole encode surface (probe/echo/hello/control/busy).
     prof = _profiling.ACTIVE
     if prof is None:
         return _encode_header(header)
-    started = perf_counter()
+    frame = prof.start("wire.encode")
     try:
         return _encode_header(header)
     finally:
-        prof.record("wire.encode", perf_counter() - started)
+        prof.stop(frame)
 
 
 def _encode_header(header: ProbeHeader) -> bytes:
@@ -232,11 +230,11 @@ def decode_header(data: bytes) -> ProbeHeader:
     prof = _profiling.ACTIVE
     if prof is None:
         return _decode_header(data)
-    started = perf_counter()
+    frame = prof.start("wire.decode")
     try:
         return _decode_header(data)
     finally:
-        prof.record("wire.decode", perf_counter() - started)
+        prof.stop(frame)
 
 
 def _decode_header(data: bytes) -> ProbeHeader:

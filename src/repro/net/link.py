@@ -13,12 +13,8 @@ The 50 ms hardware propagation-delay emulator of the testbed maps to the
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from time import perf_counter
 from typing import Callable, Dict, Optional
 
-from repro import profiling as _profiling
-from repro.profiling import STAGE_BUCKETS
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
@@ -27,12 +23,6 @@ from repro.units import transmission_time
 
 #: Receiver callback signature: (packet) -> None.
 Receiver = Callable[[Packet], None]
-
-#: Stride for sampled queue.service timing under an active profiler: one
-#: in this many services pays the two clock reads and represents the
-#: whole stride in the stage stats. Fixed (never adaptive) so profiled
-#: call counts are a pure function of the event sequence.
-SERVICE_SAMPLE_STRIDE = 4
 
 
 class Link:
@@ -88,11 +78,6 @@ class Link:
         #: tolerate. Congestion loss always comes from the queue instead.
         self.random_loss = random_loss
         self.randomly_lost = 0
-        #: Leaf accumulator for queue.service timings (repro bench only);
-        #: re-fetched whenever the active profiler changes or folds it.
-        self._service_acc: Optional[list] = None
-        self._service_prof = None
-        self._service_countdown = 1
         self._loss_rng = sim.rng(f"linkloss-{name}") if random_loss > 0 else None
         #: Optional fault injector (see :mod:`repro.net.faults`); None means
         #: the delivery path is exactly the clean store-and-forward path.
@@ -157,47 +142,7 @@ class Link:
         # empty stays idle until the next send. Both per-hop events enter
         # the heap through ``schedule_at`` at ``now + d``, the float that
         # ``schedule(d)`` computes.
-        #
-        # Per-packet hot path: one None check when no profiler is active
-        # (the default everywhere outside `repro bench`). When one is,
-        # deterministic stride sampling keeps the profiled run inside the
-        # 10% overhead budget: every SERVICE_SAMPLE_STRIDE-th service is
-        # timed (two clock reads) and stands in for its whole stride,
-        # accumulated inline into a preregistered leaf list — index ops
-        # only, no method call per packet. Queue services are homogeneous
-        # (a deque pop plus drop bookkeeping), so the stride estimate
-        # converges fast; the stride is fixed, so profiled stage *counts*
-        # stay deterministic and identical between serial and parallel
-        # sweeps of the same cells.
-        prof = _profiling.ACTIVE
-        if prof is None:
-            packet = self.queue.take(now)
-        else:
-            countdown = self._service_countdown - 1
-            if countdown > 0:
-                self._service_countdown = countdown
-                packet = self.queue.take(now)
-            else:
-                self._service_countdown = SERVICE_SAMPLE_STRIDE
-                acc = self._service_acc
-                if acc is None or acc[4] or self._service_prof is not prof:
-                    acc = self._service_acc = prof.leaf("queue.service")
-                    self._service_prof = prof
-                service_start = perf_counter()
-                packet = self.queue.take(now)
-                elapsed = perf_counter() - service_start
-                acc[0] += SERVICE_SAMPLE_STRIDE
-                acc[1] += elapsed * SERVICE_SAMPLE_STRIDE
-                if elapsed > acc[2]:
-                    acc[2] = elapsed
-                # Manual bucket probe, cheapest-first: queue service is
-                # almost always in the 1-10us bins (STAGE_BUCKETS[0:2]).
-                if elapsed <= 1e-05:
-                    acc[3][0 if elapsed <= 1e-06 else 1] += SERVICE_SAMPLE_STRIDE
-                else:
-                    acc[3][bisect_left(STAGE_BUCKETS, elapsed)] += (
-                        SERVICE_SAMPLE_STRIDE
-                    )
+        packet = self.queue.take(now)
         self._busy = True
         size = packet.size
         tx_time = self._tx_times.get(size)

@@ -105,7 +105,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "PIPELINE_STAGES": "profile",
         "STAGE_BUCKETS": "profile",
         "StageProfiler": "profile",
-        "NullProfiler": "profile",
         "active_profiler": "profile",
         "set_active_profiler": "profile",
         "profiling": "profile",

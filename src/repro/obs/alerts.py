@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
-from repro.obs.artifacts import open_artifact
+from repro.obs.artifacts import open_artifact, read_json_document
 
 #: Schema identifier for serialized rule lists.
 ALERT_RULES_SCHEMA = "repro.obs.alerts/1"
@@ -452,13 +452,7 @@ def validate_rules_document(document: Any) -> List[str]:
 
 def load_alert_rules(path) -> List[AlertRule]:
     """Read a ``{"schema", "rules": [...]}`` JSON file into rule objects."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read alert rules {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
+    document = read_json_document(path, "alert rules")
     problems = validate_rules_document(document)
     if problems:
         raise ObservabilityError(

@@ -17,13 +17,14 @@ structural validators returning problem lists, ``load_*`` raising
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.artifacts import open_artifact
+from repro.obs.artifacts import open_artifact, read_json_document
 from repro.obs.schema import check
 
 #: Schema identifier for bench documents.
@@ -200,13 +201,7 @@ def write_bench_document(path, document: Dict[str, Any]) -> Dict[str, Any]:
 
 def load_bench_document(path) -> Dict[str, Any]:
     """Read + validate a bench document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read bench document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
+    document = read_json_document(path, "bench document")
     check(validate_bench_document(document), str(path))
     return document
 
@@ -228,9 +223,11 @@ def compare_bench_documents(
     Scenarios or stages present on one side only are reported but never
     flagged.
     """
-    if threshold <= 1.0:
+    # NaN passes a plain ``<= 1.0`` test, and nothing exceeds inf: either
+    # would let every slowdown through.
+    if not (1.0 < threshold < math.inf):
         raise ObservabilityError(
-            f"regression threshold must be > 1.0, got {threshold}"
+            f"regression threshold must be a finite number > 1.0, got {threshold}"
         )
     lines: List[str] = []
     regressions: List[Dict[str, Any]] = []

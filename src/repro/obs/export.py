@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.alerts import AlertRule, AlertRules
-from repro.obs.artifacts import ensure_parent_dir
+from repro.obs.artifacts import ensure_parent_dir, read_ndjson_records
 from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
@@ -639,31 +639,10 @@ def validate_export_record(record: Any, where: str = "record") -> List[str]:
     return problems
 
 
-def read_export_records(path, tolerate_truncation: bool = True) -> List[Dict[str, Any]]:
-    """Read an NDJSON export stream into records.
-
-    A truncated *final* line (process killed mid-write) is dropped when
-    ``tolerate_truncation``; truncation anywhere else is an error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read export snapshots {path}: {exc}")
-    records: List[Dict[str, Any]] = []
-    for number, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            records.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            if tolerate_truncation and number == len(lines):
-                break
-            raise ObservabilityError(
-                f"{path}: line {number} is invalid JSON ({exc.msg})"
-            )
-    return records
+def read_export_records(path) -> List[Dict[str, Any]]:
+    """Read an NDJSON export stream into records (see
+    :func:`~repro.obs.artifacts.read_ndjson_records`)."""
+    return read_ndjson_records(path, "export snapshots")
 
 
 def validate_export_file(path) -> List[str]:

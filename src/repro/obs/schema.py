@@ -13,7 +13,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.artifacts import open_artifact
+from repro.obs.artifacts import open_artifact, read_json_document
 from repro.obs.audit import AUDIT_SCHEMA, EPISODE_STATUSES
 from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
 from repro.obs.metrics import MetricsRegistry
@@ -230,13 +230,7 @@ def validate_audit_document(document: Any) -> List[str]:
 
 def load_audit_document(path) -> Dict[str, Any]:
     """Read + validate an audit document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read audit document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
+    document = read_json_document(path, "audit document")
     check(validate_audit_document(document), str(path))
     return document
 
@@ -305,13 +299,7 @@ def check(problems: List[str], what: str) -> None:
 
 def load_metrics_document(path) -> Dict[str, Any]:
     """Read + validate a metrics document, raising on schema problems."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read metrics document {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ObservabilityError(f"{path}: invalid JSON ({exc.msg})")
+    document = read_json_document(path, "metrics document")
     check(validate_metrics_document(document), str(path))
     return document
 

@@ -1,10 +1,10 @@
 """Process-global active-profiler state (hot-path shim).
 
 This lives at the package root rather than inside :mod:`repro.obs`
-because the instrumented hot modules — the simulator event loop, link
-service, §6.1 marking, the §5 estimator fold, wire codecs — must be able
-to read the active profiler without importing ``repro.obs.__init__``,
-whose audit layer imports ``repro.analysis`` and ``repro.core``.
+because the instrumented hot modules — the simulator event loop, §6.1
+marking, the §5 estimator fold, wire codecs — must be able to read the
+active profiler without importing ``repro.obs.__init__``, whose audit
+layer imports ``repro.analysis`` and ``repro.core``.
 The real profiler implementation, documents, and CLI plumbing live in
 :mod:`repro.obs.profile`, which re-exports everything here; user code
 should import from there.
@@ -33,15 +33,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-#: Per-call duration buckets (seconds): sub-microsecond wire codecs up
-#: to multi-second sweep merges. Canonical here (instead of
-#: :mod:`repro.obs.profile`, which re-exports it) so per-packet hot sites
-#: can bucket inline into leaf accumulators without the obs import.
-STAGE_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-
 #: The process-global active profiler, or None. Read directly by hot
 #: paths (``_profiling.ACTIVE``); set via :func:`set_active_profiler` /
-#: :func:`profiling` so disabled profilers normalize to None.
+#: :func:`profiling`.
 ACTIVE: Optional[Any] = None
 
 
@@ -53,15 +47,10 @@ def active_profiler() -> Optional[Any]:
 def set_active_profiler(profiler: Optional[Any]) -> Optional[Any]:
     """Install ``profiler`` as the process-global profiler.
 
-    Disabled profilers (``enabled`` false, e.g.
-    :class:`~repro.obs.profile.NullProfiler`) normalize to ``None`` so
-    instrumentation sites stay a single ``None`` check. Returns the
-    previously active profiler (which may be ``None``).
+    Returns the previously active profiler (which may be ``None``).
     """
     global ACTIVE
     previous = ACTIVE
-    if profiler is not None and not getattr(profiler, "enabled", True):
-        profiler = None
     ACTIVE = profiler
     return previous
 
@@ -86,9 +75,9 @@ def profiling(profiler: Optional[Any]) -> Iterator[Optional[Any]]:
 def profile_stage(name: str) -> Iterator[Optional[Any]]:
     """Scoped timer against the active profiler; free no-op when none.
 
-    Convenience for warm (per-run, per-phase) sites; per-packet hot paths
+    Convenience for warm (per-run, per-phase) sites; per-item sites
     should use the manual ``start``/``stop`` pattern from the module
-    docstring instead to skip generator overhead.
+    docstring instead, so an unprofiled call skips the generator.
     """
     prof = ACTIVE
     if prof is None:

@@ -5,11 +5,10 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.link import SERVICE_SAMPLE_STRIDE, Link
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.simulator import Simulator
-from repro.obs.profile import StageProfiler, profiling
 from repro.units import mbps
 
 
@@ -147,24 +146,6 @@ def test_hop_times_are_exact_for_interleaved_sizes():
         # The schedule is chosen so that re-associating the sum changes at
         # least one float.
         assert [start + (tx + delay) for start, tx in hops] != expected
-
-
-def test_profiled_queue_service_counts_real_services_only():
-    # Two busy periods of 4 packets: the transmitter finds its queue empty
-    # twice, and neither empty check is a service. The first service of
-    # each stride is timed and stands in for the whole stride, so 8
-    # services make 2 strides; counting the empty checks would make 3.
-    sim = Simulator()
-    link, arrivals = make_link(sim)
-    profiler = StageProfiler()
-    with profiling(profiler):
-        for start in (0.0, 1.0):
-            for _ in range(4):
-                sim.schedule(start, link.send, Packet("a", "b", 1500))
-        sim.run()
-    assert len(arrivals) == 8
-    assert SERVICE_SAMPLE_STRIDE == 4
-    assert profiler.stages()["queue.service"]["calls"] == 8
 
 
 def test_utilization_hint():

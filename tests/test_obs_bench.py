@@ -148,6 +148,14 @@ class TestCompare:
         with pytest.raises(ObservabilityError):
             compare_bench_documents(doc, doc, threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_is_refused(self, threshold):
+        # Either would flag nothing: no ratio exceeds NaN or inf.
+        old = _document(wall=1.0, stage_self=0.5)
+        new = _document(wall=10.0, stage_self=5.0)
+        with pytest.raises(ObservabilityError, match="finite"):
+            compare_bench_documents(old, new, threshold=threshold)
+
     def test_new_scenario_is_not_compared(self):
         old = _document()
         new = _document()
@@ -233,7 +241,8 @@ class TestSmokeSuite:
         sweep = smoke_document["scenarios"]["parallel_sweep"]
         edges = {(edge["parent"], edge["stage"]) for edge in sweep["edges"]}
         assert ("", "sim.run") in edges
-        assert ("sim.run", "queue.service") in edges
+        # Only the workers' cells mark; the sweep's own process merges.
+        assert ("", "marking.apply") in edges
         assert sweep["stages"]["sim.run"]["calls"] == 2  # one per worker cell
 
     def test_scenarios_have_throughput(self, smoke_document):

@@ -1,8 +1,9 @@
 """Stage profiler unit tests: timing semantics, edge cases, documents.
 
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
-reentrancy, zero-duration spans, exception unwinding, leaf records and
-accumulators, snapshot/absorb round trips, and digest non-perturbation.
+reentrancy, zero-duration spans, exception unwinding, the per-item sites
+(wire codecs, trace writes), snapshot/absorb round trips, and digest
+non-perturbation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from repro.obs.profile import (
     PIPELINE_STAGES,
     PROFILE_SCHEMA,
     STAGE_BUCKETS,
-    NullProfiler,
     StageProfiler,
     active_profiler,
     profile_stage,
     profiling,
-    set_active_profiler,
 )
 
 
@@ -139,84 +138,7 @@ class TestStageProfilerBasics:
         assert stages["inner"]["calls"] == 1
 
 
-class TestLeafRecords:
-    def test_record_charges_parent_and_edge(self):
-        clock = FakeClock(step=1.0)
-        prof = StageProfiler(clock=clock)
-        with prof.stage("parent"):
-            prof.record("leaf", 0.25)
-        stages = prof.stages()
-        assert stages["leaf"]["calls"] == 1
-        assert stages["leaf"]["self_seconds"] == 0.25
-        assert stages["leaf"]["cum_seconds"] == 0.25
-        # parent wall is 1s; the leaf's 0.25s is child time.
-        assert stages["parent"]["self_seconds"] == 0.75
-        edges = {(e["parent"], e["stage"]) for e in prof.edges()}
-        assert ("parent", "leaf") in edges
-
-    def test_record_inside_same_name_frame_does_not_double_cum(self):
-        clock = FakeClock(step=1.0)
-        prof = StageProfiler(clock=clock)
-        # trace.io scoped frame containing trace.io leaf records (the
-        # save_measurement shape): cum counts wall time once.
-        with prof.stage("trace.io"):
-            prof.record("trace.io", 0.5)
-        stat = prof.stages()["trace.io"]
-        assert stat["calls"] == 2
-        assert stat["cum_seconds"] == 1.0  # the frame's wall time only
-        assert stat["sum_seconds"] == 1.5
-
-    def test_negative_record_clamps(self):
-        prof = StageProfiler(clock=FakeClock())
-        prof.record("leaf", -1.0)
-        assert prof.stages()["leaf"]["self_seconds"] == 0.0
-
-    def test_leaf_accumulator_folds_on_frame_stop(self):
-        clock = FakeClock(step=1.0)
-        prof = StageProfiler(clock=clock)
-        frame = prof.start("sim.run")
-        acc = prof.leaf("queue.service")
-        acc[0] += 4
-        acc[1] += 0.5
-        acc[2] = 0.2
-        acc[3][1] += 4
-        prof.stop(frame)
-        assert acc[4] is True  # closed at fold
-        stages = prof.stages()
-        assert stages["queue.service"]["calls"] == 4
-        assert stages["queue.service"]["self_seconds"] == 0.5
-        assert stages["queue.service"]["max_seconds"] == 0.2
-        assert sum(stages["queue.service"]["counts"]) == 4
-        # sim.run wall is 1s; 0.5s of it is queue.service child time.
-        assert stages["sim.run"]["self_seconds"] == 0.5
-        edges = {(e["parent"], e["stage"]): e for e in prof.edges()}
-        assert edges[("sim.run", "queue.service")]["calls"] == 4
-
-    def test_leaf_accumulator_root_folds_at_snapshot(self):
-        prof = StageProfiler(clock=FakeClock())
-        acc = prof.leaf("wire.encode")
-        acc[0] += 2
-        acc[1] += 0.1
-        stages = prof.stages()
-        assert stages["wire.encode"]["calls"] == 2
-        assert acc[4] is True
-        # Folding is once-only: another stages() call does not re-add.
-        assert prof.stages()["wire.encode"]["calls"] == 2
-
-    def test_empty_leaf_accumulator_records_nothing(self):
-        prof = StageProfiler(clock=FakeClock())
-        prof.leaf("queue.service")
-        assert "queue.service" not in prof.stages()
-
-
 class TestActivation:
-    def test_set_active_normalizes_disabled_profiler(self):
-        previous = set_active_profiler(NullProfiler())
-        try:
-            assert active_profiler() is None
-        finally:
-            set_active_profiler(previous)
-
     def test_profiling_scope_restores_previous(self):
         outer = StageProfiler()
         inner = StageProfiler()
@@ -231,6 +153,50 @@ class TestActivation:
         assert active_profiler() is None
         with profile_stage("anything") as frame:
             assert frame is None
+
+
+class TestItemSites:
+    def test_codec_and_trace_writes_time_scoped_frames(self, tmp_path):
+        from repro.core.records import ProbeRecord
+        from repro.io import Measurement, save_measurement
+        from repro.live.wire import PROBE, ProbeHeader, decode_header, encode_header
+
+        header = ProbeHeader(PROBE, 7, 0, 3, 0, 3, 1_000)
+        prof = StageProfiler(clock=FakeClock(step=1.0))
+        with profiling(prof):
+            with prof.stage("sender"):
+                for _ in range(5):
+                    assert decode_header(encode_header(header)) == header
+        stages = prof.stages()
+        edges = {(e["parent"], e["stage"]): e for e in prof.edges()}
+        for stage in ("wire.encode", "wire.decode"):
+            assert stages[stage]["calls"] == 5
+            assert edges[("sender", stage)]["calls"] == 5
+        # Each codec frame spans one clock step: the frame's 21 s of wall
+        # minus the 10 s charged to its codec children.
+        assert stages["sender"]["cum_seconds"] == 21.0
+        assert stages["sender"]["self_seconds"] == 11.0
+
+        # save_measurement's trace.io frame holds write_probes' trace.io
+        # frame: outer 0..3 s, inner 1..2 s. Cum counts the wall once.
+        measurement = Measurement(
+            slot_width=0.005,
+            n_slots=4,
+            p=0.5,
+            experiments=[],
+            probes=[
+                ProbeRecord(slot, 0.005 * slot, 3, (0.01, 0.01, 0.01))
+                for slot in (0, 2)
+            ],
+        )
+        prof = StageProfiler(clock=FakeClock(step=1.0))
+        with profiling(prof):
+            save_measurement(tmp_path / "trace.jsonl", measurement)
+        stat = prof.stages()["trace.io"]
+        assert stat["calls"] == 2
+        assert stat["cum_seconds"] == 3.0
+        assert stat["sum_seconds"] == 4.0
+        assert stat["self_seconds"] == 3.0
 
 
 class TestPublication:
@@ -262,7 +228,8 @@ class TestDocuments:
     def test_snapshot_schema_and_absorb_roundtrip(self):
         prof = StageProfiler(clock=FakeClock())
         with prof.stage("sim.run"):
-            prof.record("queue.service", 0.25)
+            with prof.stage("marking.apply"):
+                pass
         doc = prof.snapshot()
         assert doc["schema"] == PROFILE_SCHEMA
         assert doc["enabled"] is True
@@ -271,7 +238,7 @@ class TestDocuments:
         other.absorb(doc)
         stages = other.stages()
         assert stages["sim.run"]["calls"] == 2  # absorbed twice: adds
-        assert stages["queue.service"]["calls"] == 2
+        assert stages["marking.apply"]["calls"] == 2
 
     def test_absorb_rejects_bucket_shape_mismatch(self):
         prof = StageProfiler()
@@ -316,11 +283,6 @@ class TestDocuments:
         assert merged.edges() == [
             {"parent": "", "stage": "s", "calls": 2, "cum_seconds": 3.0}
         ]
-
-    def test_null_profiler_snapshot_disabled(self):
-        doc = NullProfiler().snapshot()
-        assert doc["enabled"] is False
-        assert doc["stages"] == {}
 
 
 class TestBucketContract:

@@ -338,9 +338,8 @@ class TestProfiledSweep:
                 name: stage["calls"] for name, stage in profiler.stages().items()
             }
         assert calls[None]["sim.run"] == len(self.CELLS)
-        assert calls[None]["queue.service"] > 0
-        # Stage call counts are a pure function of the cell seeds (the
-        # stride-sampled queue.service counter included).
+        assert calls[None]["marking.apply"] == len(self.CELLS)
+        # Stage call counts are a pure function of the cell seeds.
         assert calls[2] == calls[None]
 
     @pytest.mark.parametrize("workers", [None, 2])
