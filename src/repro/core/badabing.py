@@ -25,7 +25,7 @@ from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import AffineClock, Clock, SimClock
 from repro.core.jitter import JitterModel, NoJitter
 from repro.core.marking import CongestionMarker
-from repro.core.records import ProbeRecord
+from repro.core.records import ProbeRecord, SeqKey, probe_record
 from repro.core.result import BadabingResult, assemble_result, filter_blackouts
 from repro.core.schedule import GeometricSchedule
 from repro.net.node import Host
@@ -71,9 +71,11 @@ class _ProbeSender(Application):
         self.clock = clock
         self.start = start
         self.slot_width = slot_width
-        #: (slot, packet index) -> (true send time, sender-clock timestamp).
-        self.sent: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        self.trains_sent = 0
+        #: (slot, packet index) -> sender-clock send timestamp.
+        self.sent: Dict[SeqKey, float] = {}
+        #: slot -> true launch time of the train's first packet, in launch
+        #: order (launch jitter can reorder trains relative to slot order).
+        self.launched: Dict[int, float] = {}
         # Counts are published by a pull-collector at snapshot time (the
         # send log itself is the source of truth), so the per-packet path
         # carries no registry work; only the timing-error histogram needs a
@@ -94,23 +96,24 @@ class _ProbeSender(Application):
             sim.schedule_at(nominal + jitter.sample(rng), self._emit_probe, slot)
 
     def _collect_metrics(self, registry) -> None:
-        registry.counter("probe.trains_sent", tool="badabing").value = self.trains_sent
+        registry.counter("probe.trains_sent", tool="badabing").value = len(
+            self.launched
+        )
         registry.counter("probe.packets_sent", tool="badabing").value = len(self.sent)
 
     def _emit_probe(self, slot: int) -> None:
-        self.trains_sent += 1
+        # The first packet leaves now: it is scheduled zero seconds ahead.
+        now = self.launched[slot] = self.sim.now
         if self._m_timing is not None:
             # Launch-timing error: how far jitter displaced this train from
             # the nominal slot boundary the schedule asked for (§5's "probes
             # at the start of every covered slot" assumption).
-            self._m_timing.observe(abs(self.sim.now - (self.start + slot * self.slot_width)))
+            self._m_timing.observe(abs(now - (self.start + slot * self.slot_width)))
         for index in range(self.packets_per_probe):
             self.sim.schedule(index * self.intra_probe_gap, self._emit_packet, slot, index)
 
     def _emit_packet(self, slot: int, index: int) -> None:
-        now = self.sim.now
-        stamp = self.clock.now()
-        self.sent[(slot, index)] = (now, stamp)
+        stamp = self.sent[(slot, index)] = self.clock.now()
         self.send_packet(
             self.dst,
             self.probe_size,
@@ -234,54 +237,23 @@ class BadabingTool:
         return self.start + self.config.duration
 
     def probe_records(self) -> List[ProbeRecord]:
-        """Join sender and receiver logs into per-slot probe records."""
+        """Join sender and receiver logs into per-slot probe records.
+
+        Only complete trains count: a slot the run has not reached, or a
+        train still being emitted (``result()`` called mid-run), has no
+        record yet. Records come in launch order, which is the
+        chronological order the marker's running OWD_max logic needs.
+        """
         sent = self.sender.sent
         received = self.receiver.received
         k = self.config.probe.packets_per_probe
         records: List[ProbeRecord] = []
-        for slot in self.schedule.probe_slots:
-            first = sent.get((slot, 0))
-            if first is None:
-                # The schedule may place a slot beyond the time the caller
-                # actually ran the simulator for; ignore unsent probes.
-                continue
-            send_true, _send_stamp = first
-            owds: List[float] = []
-            owd_before_loss: Optional[float] = None
-            last_owd: Optional[float] = None
-            saw_loss = False
-            incomplete = False
+        for slot, send_time in self.sender.launched.items():
             for index in range(k):
-                entry = sent.get((slot, index))
-                if entry is None:
-                    # The train is still being emitted (result() called
-                    # mid-run); treat the whole probe as not-yet-taken.
-                    incomplete = True
+                if (slot, index) not in sent:
                     break
-                _true_time, stamp = entry
-                arrival = received.get((slot, index))
-                if arrival is None:
-                    if not saw_loss:
-                        saw_loss = True
-                        owd_before_loss = last_owd
-                else:
-                    owd = arrival - stamp
-                    owds.append(owd)
-                    last_owd = owd
-            if incomplete:
-                continue
-            records.append(
-                ProbeRecord(
-                    slot=slot,
-                    send_time=send_true,
-                    n_packets=k,
-                    owds=tuple(owds),
-                    owd_before_loss=owd_before_loss,
-                )
-            )
-        # Launch jitter can reorder emissions relative to slot order; the
-        # marker's running OWD_max logic needs true chronological order.
-        records.sort(key=lambda record: record.send_time)
+            else:
+                records.append(probe_record(slot, send_time, k, sent, received))
         return records
 
     def result(

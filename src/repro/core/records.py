@@ -3,8 +3,10 @@
 Two data shapes flow through the BADABING pipeline:
 
 * :class:`ProbeRecord` — what one multi-packet probe measured in one slot
-  (which packets survived, with what one-way delays). Produced by joining
-  sender and receiver logs; consumed by the §6.1 marking algorithm.
+  (which packets survived, with what one-way delays). Built by
+  :func:`probe_record` from the send and arrival logs of the simulated
+  tool, the live sender or a sink-mode reflector; consumed by the §6.1
+  marking algorithm.
 * :class:`ExperimentOutcome` — the paper's ``y_i``: the binary string of
   congestion indications for the slots of one basic (2-slot) or extended
   (3-slot) experiment. Consumed by the estimators and validators.
@@ -14,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+
+#: ``(slot, packet index)`` — the key of every probe send and arrival log.
+SeqKey = Tuple[int, int]
 
 #: Every legal ``bits`` tuple mapped to its §5 pattern string ("01",
 #: "110", ...). An outcome is valid when its bits are a key here, so both
@@ -78,6 +83,35 @@ class ProbeRecord:
     def max_owd(self) -> Optional[float]:
         """Largest observed one-way delay, or None if all packets lost."""
         return max(self.owds) if self.owds else None
+
+
+def probe_record(
+    slot: int,
+    send_time: float,
+    n_packets: int,
+    send_stamps: Mapping[SeqKey, float],
+    arrivals: Mapping[SeqKey, float],
+    unit: float = 1.0,
+) -> ProbeRecord:
+    """The record of the train sent in ``slot``, from its send and arrival logs.
+
+    A packet with no arrival is lost; every arrival has a send stamp. A
+    delivery's one-way delay is ``(arrival − send stamp) / unit``: 1e9
+    turns nanosecond stamps into seconds, and the default 1.0 leaves
+    seconds bit for bit. ``owd_before_loss`` is the delay of the last
+    delivery before the train's first loss, §6.1's estimate of OWD_max.
+    """
+    owds: List[float] = []
+    owd_before_loss: Optional[float] = None
+    for index in range(n_packets):
+        key = (slot, index)
+        arrival = arrivals.get(key)
+        if arrival is not None:
+            owds.append((arrival - send_stamps[key]) / unit)
+        elif owds and len(owds) == index:
+            # First loss, after at least one delivery.
+            owd_before_loss = owds[-1]
+    return ProbeRecord(slot, send_time, n_packets, tuple(owds), owd_before_loss)
 
 
 @dataclass(frozen=True)

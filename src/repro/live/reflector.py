@@ -384,21 +384,13 @@ class ReflectorProtocol(asyncio.DatagramProtocol):
         """
         session = self._session(session_id)
         spec = session.spec
-        last_slot: Optional[int] = None
-        epoch_candidates = [
-            stamp - slot * spec.slot_ns
-            for (slot, index), stamp in session.send_ns.items()
-            if index == 0
-        ]
-        if session.fin_send_ns is not None and epoch_candidates:
-            last_slot = (session.fin_send_ns - min(epoch_candidates)) // spec.slot_ns
         return probe_records_from_arrivals(
             schedule_from_spec(spec),
             spec.packets_per_probe,
             session.send_ns,
             session.recv_ns,
             spec.slot_ns,
-            last_slot=last_slot,
+            fin_send_ns=session.fin_send_ns,
         )
 
     def result_for(

@@ -14,20 +14,15 @@ side builds anything, so the two ends can never disagree on the plan.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional
 
 from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
-from repro.core.records import ProbeRecord
+from repro.core.records import ProbeRecord, SeqKey, probe_record
 from repro.core.schedule import GeometricSchedule
 from repro.errors import LiveSessionError
 from repro.live.wire import PPM, SessionSpec
 from repro.net.simulator import _stable_seed
-
-#: (slot, packet-index) key into the send/receive logs — matches the
-#: simulator tool's log shape, so the join below mirrors
-#: :meth:`repro.core.badabing.BadabingTool.probe_records`.
-SeqKey = Tuple[int, int]
 
 
 def make_session_id(seed: int) -> int:
@@ -95,19 +90,20 @@ def probe_records_from_logs(
     start_slot: int = 0,
     stop_slot: Optional[int] = None,
 ) -> List[ProbeRecord]:
-    """Join send/receive nanosecond logs into per-slot probe records.
+    """Sender-side join: per-slot probe records from the send and echo logs.
 
-    The live twin of the simulator tool's log join: ``send_ns`` holds the
-    sender-clock stamp of every emitted packet, ``recv_ns`` the
-    receiver-clock stamp of every arrival (first copy per sequence key —
-    dedup happens where the log is written). Record send times are
-    expressed in seconds since ``epoch_ns`` (the session epoch on the
-    *send-log* clock); one-way delays are ``recv − send`` and therefore
-    live in a cross-clock domain when the two logs come from different
-    hosts — pass the result through
-    :func:`repro.core.clock.rebase_probe_owds` before marking in that
-    case. Slots the sender never reached (budget stop, Ctrl-C) are simply
-    absent, degrading coverage instead of faking loss.
+    ``send_ns`` holds the sender-clock stamp of every emitted packet,
+    ``recv_ns`` the receiver-clock stamp of every arrival (first copy per
+    sequence key — dedup happens where the log is written). Each complete
+    train goes through :func:`repro.core.records.probe_record`, so a
+    missing echo is a loss. Record send times are expressed in seconds
+    since ``epoch_ns`` (the session epoch on the *send-log* clock);
+    one-way delays are ``recv − send`` and therefore live in a cross-clock
+    domain when the two logs come from different hosts — pass the result
+    through :func:`repro.core.clock.rebase_probe_owds` before marking in
+    that case. Slots the sender never reached (budget stop, Ctrl-C) and
+    trains cut short mid-emission are simply absent, degrading coverage
+    instead of faking loss.
 
     Only the probe slots in ``[start_slot, stop_slot)`` are joined (default:
     the whole schedule); the records are the whole-log join's records in
@@ -121,41 +117,14 @@ def probe_records_from_logs(
     )
     records: List[ProbeRecord] = []
     for slot in probe_slots[first_index:stop_index]:
-        first = send_ns.get((slot, 0))
-        if first is None:
-            continue
-        send_time = (first - epoch_ns) / 1e9
-        owds: List[float] = []
-        owd_before_loss: Optional[float] = None
-        last_owd: Optional[float] = None
-        saw_loss = False
-        incomplete = False
         for index in range(packets_per_probe):
-            stamp = send_ns.get((slot, index))
-            if stamp is None:
-                # Train cut short mid-emission (stop raced the train).
-                incomplete = True
+            if (slot, index) not in send_ns:
                 break
-            arrival = recv_ns.get((slot, index))
-            if arrival is None:
-                if not saw_loss:
-                    saw_loss = True
-                    owd_before_loss = last_owd
-            else:
-                owd = (arrival - stamp) / 1e9
-                owds.append(owd)
-                last_owd = owd
-        if incomplete:
-            continue
-        records.append(
-            ProbeRecord(
-                slot=slot,
-                send_time=send_time,
-                n_packets=packets_per_probe,
-                owds=tuple(owds),
-                owd_before_loss=owd_before_loss,
+        else:
+            send_time = (send_ns[(slot, 0)] - epoch_ns) / 1e9
+            records.append(
+                probe_record(slot, send_time, packets_per_probe, send_ns, recv_ns, 1e9)
             )
-        )
     records.sort(key=lambda record: record.send_time)
     return records
 
@@ -166,68 +135,51 @@ def probe_records_from_arrivals(
     send_ns: Dict[SeqKey, int],
     recv_ns: Dict[SeqKey, int],
     slot_ns: int,
-    last_slot: Optional[int] = None,
+    fin_send_ns: Optional[int] = None,
 ) -> List[ProbeRecord]:
     """Receiver-side join: reconstruct probe records from arrivals alone.
 
-    A sink-mode reflector has no authoritative send log — it only knows
-    the stamps of packets that *arrived*. Here absence means **loss**,
-    the inverse of :func:`probe_records_from_logs`'s "not sent yet": a
-    scheduled slot with some arrivals yields a record whose missing
-    indices are losses, and a scheduled slot with *no* arrivals at all
-    yields an all-lost record — but only up to ``last_slot``, beyond
-    which silence is read as "the sender never got there" (budget stop,
-    crash) and degrades coverage instead of fabricating loss. Derive
-    ``last_slot`` from the FIN datagram's sender stamp when one arrived;
-    the default is the highest slot with any arrival.
+    A sink-mode reflector has no authoritative send log — ``send_ns``
+    holds the sender stamps of the packets that *arrived*. Here absence
+    means **loss**, where :func:`probe_records_from_logs` reads an unsent
+    packet as "not sent yet": every scheduled slot up to the last one
+    probed goes through :func:`repro.core.records.probe_record`, so its
+    missing indices are losses and a slot with *no* arrivals at all is an
+    all-lost record. Past the last probed slot, silence is read as "the
+    sender never got there" (budget stop, crash) and degrades coverage
+    instead of fabricating loss. ``fin_send_ns``, the FIN datagram's
+    sender stamp, names that slot when a FIN arrived; otherwise it is the
+    highest slot with any arrival.
 
     Send times are seconds since the sender's (estimated) session epoch,
     recovered from observed first-packet stamps: each arrived ``(slot,
     0)`` packet pins ``epoch ≈ stamp − slot × slot_ns`` up to launch
-    jitter; the minimum over observations is used so fully-lost slots
-    get nominal send times in the same domain.
+    jitter; the minimum over observations is used, and a slot whose first
+    packet was lost gets its nominal send time in the same domain.
     """
-    epoch_candidates = [
-        stamp - slot * slot_ns
-        for (slot, index), stamp in send_ns.items()
-        if index == 0
-    ]
-    if not epoch_candidates:
+    epoch_ns = min(
+        (
+            stamp - slot * slot_ns
+            for (slot, index), stamp in send_ns.items()
+            if index == 0
+        ),
+        default=None,
+    )
+    if epoch_ns is None:
         return []
-    epoch_ns = min(epoch_candidates)
-    if last_slot is None:
+    if fin_send_ns is None:
         last_slot = max(slot for slot, _index in recv_ns)
+    else:
+        last_slot = (fin_send_ns - epoch_ns) // slot_ns
+    probe_slots = schedule.probe_slots
     records: List[ProbeRecord] = []
-    for slot in schedule.probe_slots:
-        if slot > last_slot:
-            continue
-        owds: List[float] = []
-        owd_before_loss: Optional[float] = None
-        last_owd: Optional[float] = None
-        saw_loss = False
-        for index in range(packets_per_probe):
-            stamp = send_ns.get((slot, index))
-            arrival = recv_ns.get((slot, index))
-            if arrival is None or stamp is None:
-                if not saw_loss:
-                    saw_loss = True
-                    owd_before_loss = last_owd
-            else:
-                owd = (arrival - stamp) / 1e9
-                owds.append(owd)
-                last_owd = owd
+    for slot in probe_slots[: bisect_right(probe_slots, last_slot)]:
         first = send_ns.get((slot, 0))
         send_time = (
             (first - epoch_ns) / 1e9 if first is not None else slot * slot_ns / 1e9
         )
         records.append(
-            ProbeRecord(
-                slot=slot,
-                send_time=send_time,
-                n_packets=packets_per_probe,
-                owds=tuple(owds),
-                owd_before_loss=owd_before_loss,
-            )
+            probe_record(slot, send_time, packets_per_probe, send_ns, recv_ns, 1e9)
         )
     records.sort(key=lambda record: record.send_time)
     return records

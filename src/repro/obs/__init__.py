@@ -37,7 +37,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "RunManifest": "manifest",
         "config_digest": "manifest",
         "summarize_snapshot": "manifest",
-        "merge_snapshots": "metrics",
         "snapshot_digest": "metrics",
         "scorecard_digest": "audit",
         "render_summary": "summary",

@@ -25,13 +25,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.artifacts import open_artifact, read_json_document
-from repro.obs.schema import check
+from repro.obs.schema import check, is_finite_number
 
 #: Schema identifier for bench documents.
 BENCH_SCHEMA = "repro.obs.bench/1"
 
-#: Per-scenario fields that must be numbers when present (``wall_seconds``
-#: is required; the rest are optional extras a recorder may attach).
+#: Per-scenario fields that must be finite, non-negative numbers when
+#: present (``wall_seconds`` is required; the rest are optional extras a
+#: recorder may attach).
 _SCENARIO_NUMBERS = (
     "wall_seconds",
     "events_processed",
@@ -41,10 +42,6 @@ _SCENARIO_NUMBERS = (
 )
 
 _STAGE_NUMBERS = ("self_seconds", "cum_seconds", "max_seconds", "sum_seconds")
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def environment_fingerprint() -> Dict[str, Any]:
@@ -97,9 +94,9 @@ def validate_stage(stage: Any, where: str) -> List[str]:
     if not isinstance(calls, int) or isinstance(calls, bool) or calls < 0:
         problems.append(f"{where}.calls: expected a non-negative integer")
     for name in _STAGE_NUMBERS:
-        if name in stage and not _is_number(stage[name]):
-            problems.append(f"{where}.{name}: expected a number")
-        elif _is_number(stage.get(name)) and stage[name] < 0:
+        if name in stage and not is_finite_number(stage[name]):
+            problems.append(f"{where}.{name}: expected a finite number")
+        elif stage.get(name, 0) < 0:
             problems.append(f"{where}.{name}: negative duration")
     buckets, counts = stage.get("buckets"), stage.get("counts")
     if buckets is not None or counts is not None:
@@ -124,8 +121,10 @@ def validate_scenario(scenario: Any, where: str) -> List[str]:
     if "wall_seconds" not in scenario:
         problems.append(f"{where}: missing field 'wall_seconds'")
     for name in _SCENARIO_NUMBERS:
-        if name in scenario and not _is_number(scenario[name]):
-            problems.append(f"{where}.{name}: expected a number")
+        if name in scenario and not is_finite_number(scenario[name]):
+            problems.append(f"{where}.{name}: expected a finite number")
+        elif scenario.get(name, 0) < 0:
+            problems.append(f"{where}.{name}: negative")
     if "config_digest" in scenario and not isinstance(
         scenario["config_digest"], str
     ):
@@ -285,7 +284,7 @@ def _compare_measurement(
     min_seconds: float,
     regressions: List[Dict[str, Any]],
 ) -> List[str]:
-    if not _is_number(before) or not _is_number(after):
+    if not is_finite_number(before) or not is_finite_number(after):
         return []
     if before < min_seconds:
         return [
@@ -397,10 +396,10 @@ def render_bench_document(document: Dict[str, Any], top: int = 10) -> List[str]:
         lines.append(f"peak RSS: {rss / (1 << 20):.1f} MiB")
     for name, scenario in sorted(document.get("scenarios", {}).items()):
         wall = scenario.get("wall_seconds")
-        parts = [f"{name}: {wall:.3f} s" if _is_number(wall) else f"{name}:"]
-        if _is_number(scenario.get("events_per_second")):
+        parts = [f"{name}: {wall:.3f} s" if is_finite_number(wall) else f"{name}:"]
+        if is_finite_number(scenario.get("events_per_second")):
             parts.append(f"{scenario['events_per_second']:,.0f} events/s")
-        if _is_number(scenario.get("probes_per_second")):
+        if is_finite_number(scenario.get("probes_per_second")):
             parts.append(f"{scenario['probes_per_second']:,.0f} probes/s")
         lines.append("  " + "  ".join(parts))
         stages = scenario.get("stages") or {}
@@ -437,7 +436,7 @@ def render_profile_document(
     for name, data in sorted(selected.items()):
         wall = data.get("wall_seconds")
         header = f"== {name}"
-        if _is_number(wall):
+        if is_finite_number(wall):
             header += f" ({wall:.3f} s wall)"
         lines.append(header)
         lines.extend(render_stage_table(data.get("stages") or {}, top=top))

@@ -470,56 +470,3 @@ def snapshot_digest(snapshot: Dict[str, Any]) -> str:
 
     payload = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def merge_snapshots(base: Dict[str, Any], other: Dict[str, Any]) -> Dict[str, Any]:
-    """Merge two snapshot documents (same semantics as registry merge)."""
-    merged: Dict[str, Any] = {
-        "counters": dict(base.get("counters", {})),
-        "gauges": {k: dict(v) for k, v in base.get("gauges", {}).items()},
-        "histograms": {
-            k: {**v, "buckets": list(v["buckets"]), "counts": list(v["counts"])}
-            for k, v in base.get("histograms", {}).items()
-        },
-        "series": {
-            k: {**v, "times": list(v["times"]), "values": list(v["values"])}
-            for k, v in base.get("series", {}).items()
-        },
-    }
-    for key, value in other.get("counters", {}).items():
-        merged["counters"][key] = merged["counters"].get(key, 0) + value
-    for key, gauge in other.get("gauges", {}).items():
-        old = merged["gauges"].get(key)
-        merged["gauges"][key] = {
-            "value": gauge["value"],
-            "peak": max(gauge["peak"], old["peak"]) if old else gauge["peak"],
-        }
-    for key, hist in other.get("histograms", {}).items():
-        old = merged["histograms"].get(key)
-        if old is None:
-            merged["histograms"][key] = {
-                **hist,
-                "buckets": list(hist["buckets"]),
-                "counts": list(hist["counts"]),
-            }
-            continue
-        if list(old["buckets"]) != list(hist["buckets"]):
-            raise ObservabilityError(
-                f"cannot merge histogram {key!r}: bucket bounds differ"
-            )
-        old["counts"] = [a + b for a, b in zip(old["counts"], hist["counts"])]
-        old["count"] += hist["count"]
-        old["sum"] += hist["sum"]
-    for key, series in other.get("series", {}).items():
-        old = merged["series"].get(key)
-        if old is None:
-            merged["series"][key] = {
-                **series,
-                "times": list(series["times"]),
-                "values": list(series["values"]),
-            }
-        else:
-            old["times"] = old["times"] + list(series["times"])
-            old["values"] = old["values"] + list(series["values"])
-            old["stride"] = max(old["stride"], series["stride"])
-    return merged

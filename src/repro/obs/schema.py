@@ -10,6 +10,7 @@ a malformed emitter fails the build, not a downstream dashboard.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ObservabilityError
@@ -35,8 +36,17 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_finite_number(value: Any) -> bool:
+    """An int or float that is neither NaN nor infinite (bools are not numbers).
+
+    NaN compares false with everything, so a NaN time would pass every
+    bound and gate downstream; validators refuse it here instead.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def validate_manifest(manifest: Any, where: str = "manifest") -> List[str]:
@@ -55,7 +65,7 @@ def validate_manifest(manifest: Any, where: str = "manifest") -> List[str]:
             f"{where}.schema: expected {MANIFEST_SCHEMA!r}, got {manifest.get('schema')!r}"
         )
     for key, value in manifest.get("metrics", {}).items() if isinstance(manifest.get("metrics"), dict) else ():
-        if not _is_number(value):
+        if not is_finite_number(value):
             problems.append(f"{where}.metrics[{key!r}]: expected a number")
     return problems
 
@@ -70,7 +80,7 @@ def validate_snapshot(snapshot: Any, where: str = "metrics") -> List[str]:
         elif not isinstance(snapshot[section], dict):
             problems.append(f"{where}.{section}: expected an object")
     for key, value in snapshot.get("counters", {}).items():
-        if not _is_number(value):
+        if not is_finite_number(value):
             problems.append(f"{where}.counters[{key!r}]: expected a number")
     for key, gauge in snapshot.get("gauges", {}).items():
         if not isinstance(gauge, dict) or not {"value", "peak"} <= set(gauge):
@@ -272,8 +282,13 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
                     problems.append(
                         f"trace line {number}: {kind} field {name!r} missing or mistyped"
                     )
-            if _is_number(record.get("dur")) and record["dur"] < 0:
-                problems.append(f"trace line {number}: negative duration")
+            dur = record.get("dur")
+            if isinstance(dur, (int, float)) and not (
+                is_finite_number(dur) and dur >= 0
+            ):
+                problems.append(
+                    f"trace line {number}: negative or non-finite duration"
+                )
         else:
             problems.append(f"trace line {number}: unknown record type {kind!r}")
     if count and not saw_meta:

@@ -8,7 +8,7 @@ then the slow spans — without any plotting dependency.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 
 def _fmt(value: float) -> str:
@@ -98,10 +98,10 @@ def _sparkline(hist: Dict[str, Any]) -> str:
     return f"[{cells}] {lo:g}..{hi:g}+"
 
 
-def aggregate_trace(lines_in: Iterable[Any]) -> Dict[str, Dict[str, float]]:
-    """Aggregate a trace stream (JSONL strings or parsed dicts) into
-    per-span-name ``{count, total_s, max_s}`` totals."""
-    summary: Dict[str, Dict[str, float]] = {}
+def _finished_spans(lines_in: Iterable[Any]) -> Iterator[Dict[str, Any]]:
+    """The finished span records of a trace stream (JSONL strings or parsed
+    dicts); unfinished spans (``dur`` null), other records and junk lines
+    are skipped."""
     for raw in lines_in:
         if isinstance(raw, dict):
             record = raw
@@ -113,8 +113,15 @@ def aggregate_trace(lines_in: Iterable[Any]) -> Dict[str, Dict[str, float]]:
                 record = json.loads(raw)
             except json.JSONDecodeError:
                 continue
-        if record.get("type") != "span" or record.get("dur") is None:
-            continue
+        if record.get("type") == "span" and record.get("dur") is not None:
+            yield record
+
+
+def aggregate_trace(lines_in: Iterable[Any]) -> Dict[str, Dict[str, float]]:
+    """Aggregate a trace stream (JSONL strings or parsed dicts) into
+    per-span-name ``{count, total_s, max_s}`` totals."""
+    summary: Dict[str, Dict[str, float]] = {}
+    for record in _finished_spans(lines_in):
         entry = summary.setdefault(
             record["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
         )
@@ -149,22 +156,7 @@ def slowest_spans(
     is dwarfed by a chatty neighbour. Accepts JSONL strings or parsed
     dicts; unfinished spans (``dur`` null) and junk lines are skipped.
     """
-    spans: List[Dict[str, Any]] = []
-    for raw in lines_in:
-        if isinstance(raw, dict):
-            record = raw
-        else:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-        if record.get("type") != "span" or record.get("dur") is None:
-            continue
-        spans.append(record)
-    spans.sort(key=lambda span: -span["dur"])
+    spans = sorted(_finished_spans(lines_in), key=lambda span: -span["dur"])
     return spans[: max(0, top)]
 
 

@@ -50,9 +50,21 @@ def test_probe_trains_spaced_within_slot():
     sim, _testbed, tool = deploy(n_slots=100, p=1.0)
     sim.run(until=tool.end_time + DRAIN_TIME)
     sent = tool.sender.sent
-    slot0 = [sent[(0, i)][0] for i in range(3)]
+    # Send stamps; the default sender clock reads true time.
+    slot0 = [sent[(0, i)] for i in range(3)]
     assert slot0[1] - slot0[0] == pytest.approx(30e-6)
     assert slot0[2] - slot0[1] == pytest.approx(30e-6)
+
+
+def test_a_train_still_being_sent_has_no_record_yet():
+    sim, _testbed, tool = deploy(n_slots=100, p=1.0)
+    # Stop between the first and second packet of slot 0's train (30 µs gap).
+    sim.run(until=tool.start + 1e-5)
+    assert (0, 0) in tool.sender.sent
+    assert tool.probe_records() == []
+    sim.run(until=tool.start + 1e-4)
+    [record] = tool.probe_records()
+    assert (record.slot, record.send_time, record.n_packets) == (0, tool.start, 3)
 
 
 def test_detects_engineered_episodes():

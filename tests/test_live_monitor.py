@@ -20,16 +20,18 @@ from repro.config import BadabingConfig, MarkingConfig, ProbeConfig
 from repro.core.clock import MonotonicClock, rebase_probe_owds
 from repro.core.estimators import frequency_from_counter
 from repro.core.marking import CongestionMarker, MarkerState
+from repro.core import records as core_records
 from repro.core.records import ExperimentOutcome, ProbeRecord
 from repro.core.result import assemble_result
 from repro.core.validation import SequentialValidator
 from repro.io.traces import TraceWriter
-from repro.live import runtime, session
+from repro.live import runtime
 from repro.live.runtime import FINALIZE_MARGIN, StreamingMonitor, live_loopback
 from repro.live.sender import LiveSender, SenderProtocol
 from repro.live.session import (
     config_from_spec,
     make_session_id,
+    probe_records_from_arrivals,
     probe_records_from_logs,
     schedule_from_spec,
     spec_for,
@@ -476,7 +478,7 @@ def test_report_work_does_not_grow_with_the_session(skew, monkeypatch):
         folded.append(len(records))
         return fold(self, records, *args)
 
-    monkeypatch.setattr(session, "ProbeRecord", CountedRecord)
+    monkeypatch.setattr(core_records, "ProbeRecord", CountedRecord)
     monkeypatch.setattr(MarkerState, "fold", counted_fold)
     clock = _FixedClock()
     monitor = StreamingMonitor(schedule, config)
@@ -586,3 +588,81 @@ def test_join_over_a_slot_range_is_the_whole_join_restricted():
                 for record in whole
                 if start <= record.slot and (stop is None or record.slot < stop)
             ]
+
+
+# ---------------------------------------------------------------- sink join
+def _sink_join(arrived, fin_slot=None, launch_ns=None):
+    """The reflector's join over slots 0, 4 and 9 of a sender whose epoch
+    is EPOCH_NS: ``arrived`` lists the ``(slot, index)`` packets that got
+    through, each ``index + 1`` µs in flight (plus the clock offset);
+    ``launch_ns`` maps a slot to how late its train left."""
+    launch_ns = launch_ns or {}
+    send_ns, recv_ns = {}, {}
+    for slot, index in arrived:
+        stamp = EPOCH_NS + slot * SLOT_NS + launch_ns.get(slot, 0) + index * GAP_NS
+        send_ns[(slot, index)] = stamp
+        recv_ns[(slot, index)] = stamp + OFFSET_NS + (index + 1) * 1000
+    fin_ns = None if fin_slot is None else EPOCH_NS + round(fin_slot * SLOT_NS)
+    schedule = SimpleNamespace(probe_slots=[0, 4, 9])
+    return probe_records_from_arrivals(
+        schedule, 3, send_ns, recv_ns, SLOT_NS, fin_send_ns=fin_ns
+    )
+
+
+def _owd(index):
+    return (OFFSET_NS + (index + 1) * 1000) / 1e9
+
+
+def test_sink_join_a_middle_loss_takes_the_previous_delivery():
+    records = _sink_join([(0, 0), (0, 2), (4, 0), (4, 1), (4, 2)])
+    assert [record.slot for record in records] == [0, 4]
+    assert records[0].owds == (_owd(0), _owd(2))
+    assert records[0].owd_before_loss == _owd(0)
+    assert records[1].owds == (_owd(0), _owd(1), _owd(2))
+    assert records[1].owd_before_loss is None
+
+
+def test_sink_join_a_lost_first_packet_has_no_owd_before_loss():
+    records = _sink_join([(0, 0), (4, 1), (4, 2)])
+    assert records[1].owds == (_owd(1), _owd(2))
+    assert records[1].lost_packets == 1
+    assert records[1].owd_before_loss is None
+    # With its first packet lost, the slot is placed at its nominal time.
+    assert records[1].send_time == 4 * SLOT_NS / 1e9
+
+
+def test_sink_join_a_silent_slot_up_to_the_fin_is_all_lost():
+    records = _sink_join([(0, 0), (0, 1), (0, 2), (9, 0)], fin_slot=9)
+    assert [record.slot for record in records] == [0, 4, 9]
+    silent = records[1]
+    assert silent.owds == ()
+    assert silent.lost_packets == 3
+    assert silent.owd_before_loss is None
+    assert silent.send_time == 4 * SLOT_NS / 1e9
+
+
+def test_sink_join_no_record_past_the_fin_slot():
+    # The FIN left during slot 5: slot 9 was never probed, so its silence
+    # is not loss. Without a FIN, the last slot heard from bounds the join.
+    assert [record.slot for record in _sink_join([(0, 0)], fin_slot=5)] == [0, 4]
+    assert [record.slot for record in _sink_join([(0, 0)], fin_slot=4)] == [0, 4]
+    assert [record.slot for record in _sink_join([(0, 0), (4, 2)])] == [0, 4]
+    assert [record.slot for record in _sink_join([(0, 0)])] == [0]
+    assert _sink_join([]) == []
+
+
+def test_sink_join_epoch_is_the_earliest_first_packet_estimate():
+    # Slot 0's train left 200 µs late and slot 4's 50 µs late: the smaller
+    # estimate, 50 µs past the true epoch, wins, so slot 0 reads 150 µs.
+    late = {0: 200_000, 4: 50_000}
+    records = _sink_join([(0, 0), (4, 0), (9, 1)], launch_ns=late)
+    assert records[0].send_time == 150_000 / 1e9
+    assert records[1].send_time == 4 * SLOT_NS / 1e9
+    # Slot 9's first packet was lost: nominal time on the same epoch.
+    assert records[2].send_time == 9 * SLOT_NS / 1e9
+    # The FIN stamp is read against that epoch: 49 µs into slot 9 on the
+    # sender's clock is still slot 8 there.
+    records = _sink_join(
+        [(0, 0), (4, 0)], fin_slot=9 + 49_000 / SLOT_NS, launch_ns=late
+    )
+    assert [record.slot for record in records] == [0, 4]

@@ -79,6 +79,21 @@ class TestSchema:
         doc["schema"] = "bogus/9"
         assert validate_bench_document(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("where", ["wall_seconds", "stage self_seconds"])
+    def test_non_finite_or_negative_time_is_refused(self, where, value):
+        # NaN makes every slowdown ratio NaN, which exceeds no threshold;
+        # a refused document cannot blind the regression gate.
+        doc = _document()
+        scenario = doc["scenarios"]["scenario_a"]
+        if where == "wall_seconds":
+            scenario["wall_seconds"] = value
+        else:
+            scenario["stages"]["sim.run"]["self_seconds"] = value
+        problems = validate_bench_document(doc)
+        assert len(problems) == 1, problems
+        assert ("finite" in problems[0]) != (value == -1.0)
+
     def test_stage_counts_must_sum_to_calls(self):
         doc = _document()
         stage = doc["scenarios"]["scenario_a"]["stages"]["sim.run"]
@@ -275,6 +290,22 @@ class TestCli:
         assert main(["bench", "--compare", str(old), str(slow)]) == 1
         out = capsys.readouterr()
         assert "REGRESSION" in out.out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_compare_refuses_a_document_with_a_bad_time(
+        self, tmp_path, capsys, value
+    ):
+        old = self._write(tmp_path, "old.json", _document())
+        bad_doc = _document(wall=10.0, stage_self=5.0)
+        for scenario in bad_doc["scenarios"].values():
+            scenario["wall_seconds"] = value
+            for stage in scenario["stages"].values():
+                stage["self_seconds"] = value
+        bad = self._write(tmp_path, "bad.json", bad_doc)
+        assert main(["bench", "--compare", str(old), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad} failed validation" in err
+        assert main(["obs", "validate", "--bench", str(bad)]) == 1
 
     def test_obs_validate_bench(self, tmp_path, capsys):
         good = self._write(tmp_path, "good.json", _document())

@@ -150,6 +150,16 @@ class TestSchemas:
         names = {span["name"] for span in tracer.spans}
         assert {"testbed.build", "sim.run", "probe.join", "tool.result"} <= names
 
+    @pytest.mark.parametrize("dur", [-1.0, float("-inf"), float("nan"), float("inf")])
+    def test_trace_duration_must_be_finite_and_non_negative(self, dur):
+        meta = json.dumps({"type": "meta", "schema": "repro.obs.trace/1"})
+        span = json.dumps(
+            {"type": "span", "name": "sim.run", "t0": 0.0, "dur": dur, "attrs": {}}
+        )
+        assert validate_trace_lines([meta, span]) == [
+            "trace line 2: negative or non-finite duration"
+        ]
+
     def test_validator_catches_corruption(self):
         registry = MetricsRegistry()
         result, _ = _run(metrics=registry)

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     Series,
-    merge_snapshots,
     render_key,
 )
 
@@ -268,16 +267,6 @@ class TestMerge:
         b.histogram("h", buckets=(1.0, 3.0)).observe(0.5)
         with pytest.raises(ObservabilityError):
             a.merge(b)
-
-    def test_merge_snapshots_matches_registry_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg, n in ((a, 2), (b, 3)):
-            reg.counter("c").inc(n)
-            reg.gauge("g").set(n)
-            reg.histogram("h", buckets=(1.0, 5.0)).observe(n)
-        merged_doc = merge_snapshots(a.snapshot(), b.snapshot())
-        a.merge(b)
-        assert merged_doc == a.snapshot()
 
 
 class TestNullRegistry:
