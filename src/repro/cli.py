@@ -39,14 +39,14 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.experiments.catalog import SCENARIO_NAMES
 from repro.experiments.profiles import PROFILES, active_profile
 from repro.net.faults import FAULT_PROFILES as _FAULT_PROFILES
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, StageProfiler, Tracer, profiling
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -139,7 +139,6 @@ def _long_run(
     meta,
     header: str = "",
     registry=None,
-    tracer=None,
     default_rules=None,
 ):
     """Registry and exporter of a long-running command, as ``(registry, exporter)``.
@@ -168,7 +167,6 @@ def _long_run(
             path=args.export_out or None,
             http_port=getattr(args, "export_port", None),
             rules=rules,
-            tracer=tracer,
             meta=meta,
         )
     if header:
@@ -212,6 +210,13 @@ def _run_obs(args: argparse.Namespace, **meta):
     metrics = MetricsRegistry() if args.metrics_out else None
     tracer = Tracer(**meta) if args.trace_out else None
     return metrics, tracer
+
+
+def _tracing(tracer):
+    """Scope a stage profiler that records into ``tracer`` (if any)."""
+    if tracer is None:
+        return nullcontext()
+    return profiling(StageProfiler(tracer=tracer))
 
 
 def _write_run_obs(args: argparse.Namespace, metrics, tracer, manifest) -> None:
@@ -269,18 +274,18 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     metrics, tracer = _run_obs(
         args, tool="badabing", scenario=args.scenario, seed=args.seed
     )
-    result, truth = run_badabing(
-        args.scenario,
-        p=args.p,
-        n_slots=n_slots,
-        seed=args.seed,
-        improved=args.improved,
-        warmup=profile.warmup,
-        faults=args.faults if args.faults != "none" else None,
-        metrics=metrics,
-        tracer=tracer,
-        keep=keep,
-    )
+    with _tracing(tracer):
+        result, truth = run_badabing(
+            args.scenario,
+            p=args.p,
+            n_slots=n_slots,
+            seed=args.seed,
+            improved=args.improved,
+            warmup=profile.warmup,
+            faults=args.faults if args.faults != "none" else None,
+            metrics=metrics,
+            keep=keep,
+        )
     _write_run_obs(args, metrics, tracer, result.manifest)
     if args.audit_out:
         from repro.obs import (
@@ -326,16 +331,16 @@ def _cmd_zing(args: argparse.Namespace) -> int:
 
     profile = _resolve_profile(args.profile)
     metrics, tracer = _run_obs(args, tool="zing", scenario=args.scenario, seed=args.seed)
-    result, truth = run_zing(
-        args.scenario,
-        mean_interval=1.0 / args.rate,
-        packet_size=args.size,
-        duration=args.duration if args.duration else profile.tool_duration,
-        seed=args.seed,
-        warmup=profile.warmup,
-        metrics=metrics,
-        tracer=tracer,
-    )
+    with _tracing(tracer):
+        result, truth = run_zing(
+            args.scenario,
+            mean_interval=1.0 / args.rate,
+            packet_size=args.size,
+            duration=args.duration if args.duration else profile.tool_duration,
+            seed=args.seed,
+            warmup=profile.warmup,
+            metrics=metrics,
+        )
     _write_run_obs(args, metrics, tracer, result.manifest)
     print(f"scenario={args.scenario} rate={args.rate}Hz size={args.size}B")
     print(f"probes sent: {result.n_sent}  lost: {result.n_lost}")
@@ -377,14 +382,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     metrics = MetricsRegistry()
     tracer = Tracer(tool="badabing-sweep") if args.trace_out else None
-    with _long_run(
-        args, {"tool": "badabing-sweep"}, registry=metrics, tracer=tracer
+    with _tracing(tracer), _long_run(
+        args, {"tool": "badabing-sweep"}, registry=metrics
     ) as (_, exporter):
         outcomes = sweep_badabing(
             cells,
             budget=budget,
             metrics=metrics,
-            tracer=tracer,
             workers=args.workers if args.workers > 1 else None,
             max_wall_seconds=args.max_wall_seconds if args.max_wall_seconds else None,
             exporter=exporter,
@@ -789,17 +793,17 @@ def _cmd_live_send(args: argparse.Namespace) -> int:
     metrics, tracer = _run_obs(
         args, tool="badabing-live", scenario="live-send", seed=args.seed
     )
-    run = live_send(
-        args.host,
-        args.port,
-        config=_live_config(args),
-        seed=args.seed,
-        registry=metrics,
-        tracer=tracer,
-        budget=_live_budget(args),
-        trace_path=args.save or None,
-        handle_sigint=True,
-    )
+    with _tracing(tracer):
+        run = live_send(
+            args.host,
+            args.port,
+            config=_live_config(args),
+            seed=args.seed,
+            registry=metrics,
+            budget=_live_budget(args),
+            trace_path=args.save or None,
+            handle_sigint=True,
+        )
     return _print_live_result(run, args, metrics, tracer)
 
 
@@ -893,16 +897,16 @@ def _cmd_live_loopback(args: argparse.Namespace) -> int:
     metrics, tracer = _run_obs(
         args, tool="badabing-live", scenario="live-loopback", seed=args.seed
     )
-    run = live_loopback(
-        config=_live_config(args),
-        seed=args.seed,
-        faults=args.faults if args.faults != "none" else None,
-        registry=metrics,
-        tracer=tracer,
-        budget=_live_budget(args),
-        trace_path=args.save or None,
-        handle_sigint=True,
-    )
+    with _tracing(tracer):
+        run = live_loopback(
+            config=_live_config(args),
+            seed=args.seed,
+            faults=args.faults if args.faults != "none" else None,
+            registry=metrics,
+            budget=_live_budget(args),
+            trace_path=args.save or None,
+            handle_sigint=True,
+        )
     return _print_live_result(run, args, metrics, tracer)
 
 

@@ -19,8 +19,9 @@ can attribute drops (used by the Figure 8 analysis of probe impact).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro import profiling as _profiling
 from repro.config import BadabingConfig, MarkingConfig
 from repro.core.clock import AffineClock, Clock, SimClock
 from repro.core.jitter import JitterModel, NoJitter
@@ -30,11 +31,7 @@ from repro.core.result import BadabingResult, assemble_result, filter_blackouts
 from repro.core.schedule import GeometricSchedule
 from repro.net.node import Host
 from repro.net.simulator import Simulator
-from repro.obs.tracing import trace_span
 from repro.traffic.base import Application, ephemeral_port
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.tracing import Tracer
 
 PROBE_PROTOCOL = "probe"
 
@@ -192,12 +189,10 @@ class BadabingTool:
         sender_clock: Optional[AffineClock] = None,
         receiver_clock: Optional[AffineClock] = None,
         rng_label: str = "badabing",
-        tracer: Optional["Tracer"] = None,
     ):
         self.sim = sim
         self.config = config if config is not None else BadabingConfig()
         self.start = start
-        self.tracer = tracer
         self._loss_recorded = False
         cfg = self.config
         self.schedule = GeometricSchedule(
@@ -279,7 +274,7 @@ class BadabingTool:
         :class:`~repro.errors.EstimationError` carrying the coverage.
         """
         if probes is None:
-            with trace_span(self.tracer, "probe.join"):
+            with _profiling.profile_stage("probe.join"):
                 probes = self.probe_records()
         probes = filter_blackouts(probes, blackout_windows)
         if not self._loss_recorded and self.sim.metrics.enabled:
@@ -296,5 +291,4 @@ class BadabingTool:
             self.config,
             marker=marker,
             duplicate_arrivals=self.receiver.duplicate_arrivals,
-            tracer=self.tracer,
         )

@@ -196,7 +196,7 @@ class CongestionMarker:
         ``probes`` must be sorted by send time. A slot probed more than
         once keeps its last probe's state; each probe counts on its own.
         """
-        with _profiling.profile_stage("marking.apply"):
+        with _profiling.profile_stage("marking.apply", n_probes=len(probes)):
             return self._mark(probes)
 
     def _mark(self, probes: Sequence[ProbeRecord]) -> MarkingResult:

@@ -21,12 +21,10 @@ from repro.core.marking import CongestionMarker, MarkingResult
 from repro.core.records import CoverageReport, ExperimentOutcome, ProbeRecord
 from repro.core.schedule import GeometricSchedule
 from repro.core.validation import ValidationReport, validate_outcomes
-from repro.obs.tracing import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.audit import RunAudit
     from repro.obs.manifest import RunManifest
-    from repro.obs.tracing import Tracer
 
 
 @dataclass
@@ -90,7 +88,6 @@ def assemble_result(
     marker: Optional[CongestionMarker] = None,
     blackout_windows: Optional[List[Tuple[float, float]]] = None,
     duplicate_arrivals: int = 0,
-    tracer: Optional["Tracer"] = None,
 ) -> BadabingResult:
     """Marking + estimation + validation over a joined probe stream.
 
@@ -106,16 +103,13 @@ def assemble_result(
     probes = filter_blackouts(probes, blackout_windows)
     if marker is None:
         marker = CongestionMarker(config.marking)
-    with trace_span(tracer, "probe.mark", n_probes=len(probes)):
-        marked = marker.mark(probes)
+    marked = marker.mark(probes)
     outcomes = schedule.outcomes_from_states(marked.slot_states)
     coverage = schedule.coverage_from_states(marked.slot_states)
-    with trace_span(tracer, "probe.estimate"):
-        estimate = estimate_from_outcomes(
-            outcomes, improved=config.improved, coverage=coverage
-        )
-    with trace_span(tracer, "probe.validate"):
-        validation = validate_outcomes(outcomes, coverage=coverage)
+    estimate = estimate_from_outcomes(
+        outcomes, improved=config.improved, coverage=coverage
+    )
+    validation = validate_outcomes(outcomes, coverage=coverage)
     return BadabingResult(
         estimate=estimate,
         validation=validation,

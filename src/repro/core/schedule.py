@@ -90,9 +90,7 @@ class GeometricSchedule:
         self.improved = improved
         self.experiments: List[Experiment] = []
         probed = set()
-        prof = _profiling.ACTIVE
-        prof_frame = prof.start("schedule.generate") if prof is not None else None
-        try:
+        with _profiling.profile_stage("schedule.generate", n_slots=n_slots):
             for slot in range(n_slots):
                 if rng.random() >= p:
                     continue
@@ -110,9 +108,6 @@ class GeometricSchedule:
                 self.experiments.append(experiment)
                 probed.update(experiment.slots)
             self.probe_slots = sorted(probed)
-        finally:
-            if prof is not None:
-                prof.stop(prof_frame)
 
     # ------------------------------------------------------------- accounting
     @property

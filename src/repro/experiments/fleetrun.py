@@ -98,7 +98,6 @@ async def run_fleet(
     rebalance_interval: float = 0.25,
     max_wall_seconds: Optional[float] = None,
     fleet_policy: Optional[FleetPolicy] = None,
-    tracer=None,
     controller: Optional[FleetController] = None,
 ) -> FleetRunResult:
     """Drive a :class:`FleetController` against live reflectors.
@@ -180,7 +179,6 @@ async def run_fleet(
                     config=directive.config,
                     seed=directive.seed,
                     registry=shard,
-                    tracer=tracer,
                     stop_event=stop_event,
                 )
             except LiveSessionError as exc:

@@ -19,7 +19,7 @@ import inspect
 import time
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,8 +50,14 @@ from repro.obs.audit import (
 from repro.obs.manifest import RunManifest, config_digest, summarize_snapshot
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.profile import StageProfiler
-from repro.obs.tracing import Tracer, trace_span
-from repro.profiling import active_profiler, profiling
+from repro.obs.tracing import Tracer
+from repro.profiling import (
+    active_profiler,
+    active_tracer,
+    profile_stage,
+    profiling,
+    trace_event,
+)
 
 #: Extra simulated time after the measurement window so in-flight packets
 #: drain and the tools' logs are complete.
@@ -235,7 +241,6 @@ def _finish_run(
     extract_truth: Callable[[], GroundTruth],
     configs: Tuple[Any, ...],
     max_events: Optional[int],
-    tracer: Optional[Tracer],
     keep: Optional[Dict[str, Any]],
 ) -> Tuple[Any, GroundTruth]:
     """Run a wired experiment to ``until``; return (tool result, truth).
@@ -249,18 +254,20 @@ def _finish_run(
     the manifest (its tool is ``name``) and fill ``keep``.
 
     Untraced, the simulation is one ``sim.run(until, max_events)`` call.
-    Traced, it runs in :data:`HEARTBEAT_BEATS` legs sharing the budget,
-    each followed by a ``sim.heartbeat`` event (simulated time, events so
-    far), so the trace tells a stalled run from a slow one while the run
-    dispatches exactly the events an untraced one does.
+    Under an active tracer it runs in :data:`HEARTBEAT_BEATS` legs
+    sharing the budget, each followed by a ``sim.heartbeat`` event
+    (simulated time, events so far), so the trace tells a stalled run
+    from a slow one while the run dispatches exactly the events an
+    untraced one does.
     """
     check_max_events(max_events)
+    traced = active_tracer() is not None
     legs = [until]
-    if tracer is not None:
+    if traced:
         legs = [until * beat / HEARTBEAT_BEATS for beat in range(1, HEARTBEAT_BEATS)] + legs
     left = max_events
     dispatched = 0
-    with trace_span(tracer, "sim.run", until=until):
+    with profile_stage("sim.run", until=until):
         for leg_end in legs:
             ran = sim.run(until=leg_end, max_events=left)
             dispatched += ran
@@ -277,22 +284,22 @@ def _finish_run(
                 # Spent exactly with nothing runnable by ``until``: the
                 # remaining legs run unbudgeted and only advance the clock.
                 left = left - ran or None
-            if tracer is not None:
-                tracer.event(
+            if traced:
+                trace_event(
                     "sim.heartbeat",
                     sim_time=round(sim.now, 9),
                     events_processed=dispatched,
                 )
-    with trace_span(tracer, "truth.extract"):
+    with profile_stage("truth.extract"):
         truth = extract_truth()
     # A real collector knows when it was down (its own restart log); feed
     # the known outage windows back so those slots degrade coverage instead
     # of masquerading as loss episodes.
     outages = injector.profile.outage_windows if injector is not None else ()
-    with trace_span(tracer, "tool.result"):
+    with profile_stage("tool.result"):
         result = tool.result(blackout_windows=list(outages)) if outages else tool.result()
     if isinstance(result, BadabingResult) and sim.metrics.enabled:
-        with trace_span(tracer, "audit.build"):
+        with profile_stage("audit.build"):
             result.audit = audit_run(
                 result, truth, tool.schedule, start=tool.start, tool=name
             )
@@ -337,7 +344,6 @@ def run_badabing(
     faults: Union[str, FaultProfile, None] = None,
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     keep: Optional[Dict[str, Any]] = None,
 ) -> Tuple[BadabingResult, GroundTruth]:
     """Full BADABING experiment: returns (tool result, ground truth).
@@ -355,18 +361,18 @@ def run_badabing(
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) collects
     the run's telemetry — on by default, pass a
-    :class:`~repro.obs.metrics.NullRegistry` to disable; ``tracer``
-    records wall-clock spans around each phase. The returned result
-    carries a :class:`~repro.obs.manifest.RunManifest`.
+    :class:`~repro.obs.metrics.NullRegistry` to disable. Each phase is a
+    stage frame, so an active tracing profiler records it as a span. The
+    returned result carries a :class:`~repro.obs.manifest.RunManifest`.
     """
     probe_cfg = probe if probe is not None else ProbeConfig()
     marking_cfg = marking if marking is not None else default_marking_for(p, probe_cfg.slot)
     config = BadabingConfig(
         probe=probe_cfg, marking=marking_cfg, p=p, n_slots=n_slots, improved=improved
     )
-    with trace_span(tracer, "testbed.build", seed=seed):
+    with profile_stage("testbed.build", seed=seed):
         sim, testbed = build_testbed(seed=seed, config=testbed_config, metrics=metrics)
-    with trace_span(tracer, "traffic.start", scenario=scenario):
+    with profile_stage("traffic.start", scenario=scenario):
         traffic = apply_scenario(sim, testbed, scenario, **(scenario_kwargs or {}))
     tool = BadabingTool(
         sim,
@@ -377,7 +383,6 @@ def run_badabing(
         jitter=jitter,
         sender_clock=sender_clock,
         receiver_clock=receiver_clock,
-        tracer=tracer,
     )
     injector = install_faults(sim, testbed, faults, anchor=warmup)
     return _finish_run(
@@ -393,7 +398,6 @@ def run_badabing(
         ),
         configs=(config, testbed.config),
         max_events=max_events,
-        tracer=tracer,
         keep=keep,
     )
 
@@ -476,7 +480,6 @@ def run_badabing_multihop(
         extract_truth=extract_truth,
         configs=(config, testbed.config),
         max_events=max_events,
-        tracer=None,
         keep=keep,
     )
 
@@ -493,7 +496,6 @@ def run_zing(
     warmup: float = 10.0,
     max_events: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     keep: Optional[Dict[str, Any]] = None,
 ) -> Tuple[ZingResult, GroundTruth]:
     """Full ZING experiment: returns (tool result, ground truth).
@@ -505,9 +507,9 @@ def run_zing(
     Poisson baseline can run under the same :class:`RunBudget` protection
     as the tool it is compared against.
     """
-    with trace_span(tracer, "testbed.build", seed=seed):
+    with profile_stage("testbed.build", seed=seed):
         sim, testbed = build_testbed(seed=seed, config=testbed_config, metrics=metrics)
-    with trace_span(tracer, "traffic.start", scenario=scenario):
+    with profile_stage("traffic.start", scenario=scenario):
         traffic = apply_scenario(sim, testbed, scenario, **(scenario_kwargs or {}))
     tool = ZingTool(
         sim,
@@ -529,7 +531,6 @@ def run_zing(
         extract_truth=lambda: compute_ground_truth(testbed, slot, warmup, duration),
         configs=(testbed.config,),
         max_events=max_events,
-        tracer=tracer,
         keep=keep,
     )
 
@@ -690,12 +691,13 @@ class CellPayload:
     """Everything one sweep cell needs; picklable when ``kwargs`` is.
 
     ``runner`` is an importable top-level callable; ``None`` means
-    :func:`run_badabing`, looked up when the cell runs. ``with_tracer``
-    and ``with_profiler`` ask a pool worker to record a trace shard and a
-    stage profile and send them back as data; a cell run in-process needs
-    neither, because it records straight into the sweep's tracer and the
-    active profiler. Only in-process cells may carry live objects
-    (``keep``/``metrics``/``tracer``) in ``kwargs``.
+    :func:`run_badabing`, looked up when the cell runs.
+    ``with_profiler`` asks a pool worker to profile its cell and send the
+    stage stats back as data, and ``with_tracer`` to attach a tracer to
+    that profiler, whose spans ride along; a cell run in-process needs
+    neither, because it records straight into the active profiler. Only
+    in-process cells may carry live objects (``keep``/``metrics``) in
+    ``kwargs``.
     """
 
     index: int
@@ -715,19 +717,19 @@ class CellResult:
 
     outcome: RunOutcome
     registry: Optional[MetricsRegistry] = None
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: The worker's :meth:`~repro.obs.profile.StageProfiler.snapshot`.
+    #: The worker's :meth:`~repro.obs.profile.StageProfiler.snapshot`,
+    #: with its spans when the worker traced.
     profile: Optional[Dict[str, Any]] = None
 
 
-def run_cell(payload: CellPayload, tracer: Optional[Tracer] = None) -> CellResult:
+def run_cell(payload: CellPayload) -> CellResult:
     """Run one protected sweep cell — in-process, or as the pool worker.
 
-    Builds the cell's private registry, opens the ``sweep.cell`` span on
-    ``tracer`` (the sweep's own, in-process) or on a shard tracer (in a
-    worker), runs :func:`run_protected`, and bakes the registry's
-    collectors in: they close over the finished simulator, which can
-    neither be pickled nor kept alive after the cell.
+    Builds the cell's private registry (and, in a worker asked for them,
+    its own profiler and tracer), opens the ``sweep.cell`` frame, runs
+    :func:`run_protected`, and bakes the registry's collectors in: they
+    close over the finished simulator, which can neither be pickled nor
+    kept alive after the cell.
     """
     fn = payload.runner if payload.runner is not None else run_badabing
     registry: Optional[MetricsRegistry] = None
@@ -738,19 +740,13 @@ def run_cell(payload: CellPayload, tracer: Optional[Tracer] = None) -> CellResul
     kwargs = payload.kwargs
     if registry is not None and accepts_kwarg(fn, "metrics"):
         kwargs = dict(kwargs, metrics=registry)
-    shard = (
-        Tracer(shard="sweep-worker", cell=payload.label)
-        if payload.with_tracer
+    profiler = (
+        StageProfiler(tracer=Tracer() if payload.with_tracer else None)
+        if payload.with_profiler
         else None
     )
-    profiler = StageProfiler() if payload.with_profiler else None
-    with trace_span(
-        tracer if tracer is not None else shard,
-        "sweep.cell",
-        label=payload.label,
-        seed=payload.seed,
-    ):
-        with profiling(profiler) if profiler is not None else nullcontext():
+    with profiling(profiler) if profiler is not None else nullcontext():
+        with profile_stage("sweep.cell", label=payload.label, seed=payload.seed):
             outcome = run_protected(
                 fn,
                 label=payload.label,
@@ -763,7 +759,6 @@ def run_cell(payload: CellPayload, tracer: Optional[Tracer] = None) -> CellResul
     return CellResult(
         outcome=outcome,
         registry=registry,
-        spans=list(shard.spans) if shard is not None else [],
         profile=profiler.snapshot() if profiler is not None else None,
     )
 
@@ -773,7 +768,6 @@ def _prepare_cells(
     common: Dict[str, Any],
     budget: Optional[RunBudget],
     metrics: Optional[MetricsRegistry],
-    tracer: Optional[Tracer],
     pooled: bool,
 ) -> List[CellPayload]:
     """Resolve every cell to a :class:`CellPayload`.
@@ -784,9 +778,9 @@ def _prepare_cells(
     outcome list and scorecard would collide on one name. A cell that
     brings its own ``metrics`` registry records into it, not into a cell
     registry of the sweep's. ``pooled`` cells must be picklable, and ask
-    for the trace and profile shards their worker has to send back.
+    for the profile (and trace) shards their worker has to send back.
     """
-    with_tracer = pooled and tracer is not None
+    with_tracer = pooled and active_tracer() is not None
     with_profiler = pooled and active_profiler() is not None
     payloads: List[CellPayload] = []
     for index, cell in enumerate(cells):
@@ -799,7 +793,7 @@ def _prepare_cells(
         else:
             label = _cell_label(index, merged)
         seed = merged.pop("seed", 1)
-        live = sorted(k for k in ("metrics", "tracer", "keep") if k in merged)
+        live = sorted(k for k in ("metrics", "keep") if k in merged)
         if pooled and live:
             raise ConfigurationError(
                 f"cell {label!r}: per-cell {'/'.join(live)} objects cannot "
@@ -830,21 +824,18 @@ def _finish_cell(
     payload: CellPayload,
     cell: CellResult,
     metrics: Optional[MetricsRegistry],
-    tracer: Optional[Tracer],
     exporter,
 ) -> RunOutcome:
     """Fold one finished cell into the sweep; called in cell order.
 
-    Merges the cell registry under ``cell=<label>``, absorbs the trace
-    shard and the worker's stage profile, counts the cell, then emits the
+    Merges the cell registry under ``cell=<label>``, absorbs the worker's
+    stage profile (and its spans), counts the cell, then emits the
     progress record — so a progress record is a pure function of the
     cells finished so far, in either mode.
     """
     outcome = cell.outcome
     if metrics is not None and cell.registry is not None:
         metrics.merge(cell.registry, series_labels={"cell": payload.label})
-    if tracer is not None and cell.spans:
-        tracer.absorb(cell.spans)
     profiler = active_profiler()
     if profiler is not None and cell.profile is not None:
         profiler.absorb(cell.profile)
@@ -868,7 +859,6 @@ def sweep_badabing(
     cells: Sequence[Dict[str, Any]],
     budget: Optional[RunBudget] = None,
     metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     workers: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
     exporter=None,
@@ -891,7 +881,7 @@ def sweep_badabing(
     dies hard (segfault, OOM-kill, unpicklable result) becomes a
     structured failed outcome for its cell instead of killing the sweep.
     Only a serial sweep may pass live per-cell objects (``keep``,
-    ``metrics``, ``tracer``) through to its cells.
+    ``metrics``) through to its cells.
 
     ``max_wall_seconds`` is a sweep-level deadline: cells that have not
     started when it expires are skipped and reported as budget-exhausted
@@ -900,7 +890,7 @@ def sweep_badabing(
 
     When ``metrics`` is given the sweep also records per-status cell
     counts and retry totals (``sweep.cells{status=...}``,
-    ``sweep.retries``); ``tracer`` gains one ``sweep.cell`` span per cell.
+    ``sweep.retries``).
 
     ``exporter`` (a :class:`~repro.obs.export.TelemetryExporter` over the
     same ``metrics`` registry) gets one ``kind="progress"`` snapshot per
@@ -910,13 +900,15 @@ def sweep_badabing(
     The cells are profiled exactly when a profiler is active at the call:
     in-process cells run under it, and each pool worker profiles its cell
     and sends the stage stats back for the active profiler to absorb.
-    Profiling never touches a metrics registry.
+    Under a tracing profiler, each cell's ``sweep.cell`` span holds its
+    run's phase spans, in either mode. Profiling never touches a metrics
+    registry.
     """
     pooled = workers is not None and workers > 1
-    payloads = _prepare_cells(cells, common, budget, metrics, tracer, pooled)
+    payloads = _prepare_cells(cells, common, budget, metrics, pooled)
 
     def finish(payload: CellPayload, cell: CellResult) -> RunOutcome:
-        return _finish_cell(payload, cell, metrics, tracer, exporter)
+        return _finish_cell(payload, cell, metrics, exporter)
 
     if pooled:
         from repro.experiments.parallel import execute_parallel_sweep
@@ -934,7 +926,7 @@ def sweep_badabing(
         ):
             cell = CellResult(deadline_outcome(payload.label, max_wall_seconds))
         else:
-            cell = run_cell(payload, tracer)
+            cell = run_cell(payload)
         outcomes.append(finish(payload, cell))
     return outcomes
 

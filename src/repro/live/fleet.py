@@ -441,7 +441,6 @@ async def run_fleet_loopback(
     faults: Union[str, FaultProfile, None] = None,
     marking: Optional[MarkingConfig] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer=None,
     budget: Optional[RunBudget] = None,
     stagger_seconds: float = 0.0,
     harvest_results: bool = False,
@@ -517,7 +516,6 @@ async def run_fleet_loopback(
                 seed=seeds[index],
                 marking=marking,
                 registry=shard,
-                tracer=tracer,
                 budget=budget,
             )
         except (LiveSessionError, EstimationError) as exc:

@@ -64,7 +64,7 @@ from repro.net.faults import FaultProfile
 from repro.net.simulator import _stable_seed
 from repro.obs.manifest import RunManifest, config_digest, summarize_snapshot
 from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.obs.tracing import Tracer, trace_span
+from repro.profiling import profile_stage
 
 #: Extra settle time past tau before a slot's marking is considered final
 #: in the streaming view (covers echo latency + scheduler jitter).
@@ -376,7 +376,6 @@ async def run_live_send(
     seed: int = 1,
     marking: Optional[MarkingConfig] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     budget: Optional[RunBudget] = None,
     stop_event: Optional[asyncio.Event] = None,
     trace_path: Optional[str] = None,
@@ -438,8 +437,10 @@ async def run_live_send(
             stop_event=stop_event,
             on_progress=monitor.observe,
         )
-        with trace_span(
-            tracer, "live.session", host=host, port=port, n_slots=spec.n_slots
+        # The one frame open across an await: sessions interleaving under
+        # one active profiler would lose frames (DESIGN.md §14).
+        with profile_stage(
+            "live.session", host=host, port=port, n_slots=spec.n_slots
         ):
             records = await sender.run()
         monitor.finish(sender.send_ns, protocol.recv_ns, sender.epoch_ns)
@@ -451,13 +452,12 @@ async def run_live_send(
         transport.close()
     stats = sender.stats
     probes = rebase_probe_owds(records)
-    with trace_span(tracer, "live.assemble", n_probes=len(probes)):
+    with profile_stage("live.assemble", n_probes=len(probes)):
         result = assemble_result(
             schedule,
             probes,
             live_config,
             duplicate_arrivals=stats.duplicate_echoes,
-            tracer=tracer,
         )
     result.manifest = _live_manifest(seed, live_config, stats, registry)
     return LiveRunResult(
@@ -557,7 +557,6 @@ async def run_live_loopback(
     faults: Union[str, FaultProfile, None] = None,
     marking: Optional[MarkingConfig] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     budget: Optional[RunBudget] = None,
     trace_path: Optional[str] = None,
     stop_event: Optional[asyncio.Event] = None,
@@ -589,7 +588,6 @@ async def run_live_loopback(
             seed=seed,
             marking=marking,
             registry=registry,
-            tracer=tracer,
             budget=budget,
             stop_event=stop_event,
             trace_path=trace_path,

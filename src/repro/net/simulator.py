@@ -23,7 +23,6 @@ from heapq import heappop, heappush
 from math import inf, isnan
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import profiling as _profiling
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -176,8 +175,6 @@ class Simulator:
         queue = self._queue
         dispatched = 0
         cancelled = 0
-        prof = _profiling.ACTIVE
-        prof_frame = prof.start("sim.run") if prof is not None else None
         wall_start = time.perf_counter()
         try:
             while queue and queue[0][0] <= horizon:
@@ -196,8 +193,6 @@ class Simulator:
             self._events_counter.inc(dispatched)
             self._cancelled_counter.inc(cancelled)
             self.wall_seconds += time.perf_counter() - wall_start
-            if prof is not None:
-                prof.stop(prof_frame)
         if until is not None and self._now < until and not self.budget_exhausted:
             self._now = until
         return dispatched

@@ -6,8 +6,8 @@ Four pieces, usable separately or together:
   counters/gauges/histograms plus bounded time-series samplers. On by
   default throughout the substrate; pass :class:`NullRegistry` to run at
   pre-instrumentation speed. Snapshots are deterministic for a fixed seed.
-* :mod:`repro.obs.tracing` — wall-clock :func:`trace_span` spans around
-  the expensive phases of a run, exported as JSONL.
+* :mod:`repro.obs.tracing` — a wall-clock span log, exported as JSONL,
+  that a :class:`StageProfiler` fills with its stage frames while active.
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seed, config digest, version, timings, headline metrics) attached to
   runner results.
@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "MetricsRegistry": "metrics",
         "NullRegistry": "metrics",
         "Tracer": "tracing",
-        "trace_span": "tracing",
         "RunManifest": "manifest",
         "config_digest": "manifest",
         "summarize_snapshot": "manifest",
@@ -105,9 +104,11 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "STAGE_BUCKETS": "profile",
         "StageProfiler": "profile",
         "active_profiler": "profile",
+        "active_tracer": "profile",
         "set_active_profiler": "profile",
         "profiling": "profile",
         "profile_stage": "profile",
+        "trace_event": "profile",
         "BenchRecorder": "bench",
         "environment_fingerprint": "bench",
         "peak_rss_bytes": "bench",

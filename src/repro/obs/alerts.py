@@ -9,8 +9,8 @@ watch a raw value, a per-second rate, a ratio of two metrics, or
 staleness (a metric that has stopped advancing — the live analogue of a
 validator that never converges). Transitions produce structured
 :class:`AlertEvent` records that land in the exporter's snapshot stream
-and (when a tracer is attached) as ``alert.fired`` / ``alert.resolved``
-tracer events; the number of currently-firing rules is published as the
+and (under an active tracer) as ``alert.fired`` / ``alert.resolved``
+trace events; the number of currently-firing rules is published as the
 ``live.alerts_active`` gauge on the exporter's *own* side registry —
 never on the monitored registry, whose snapshot digest must stay
 byte-identical with and without export enabled.
@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
 from repro.obs.artifacts import open_artifact, read_json_document
+from repro.profiling import trace_event
 
 #: Schema identifier for serialized rule lists.
 ALERT_RULES_SCHEMA = "repro.obs.alerts/1"
@@ -218,22 +219,20 @@ class AlertRules:
 
     ``registry`` is the engine's *own* registry (usually the exporter's
     side registry): it receives the ``live.alerts_active`` gauge and
-    per-rule ``alerts.events`` counters. ``tracer`` (optional) receives
-    an ``alert.fired`` / ``alert.resolved`` event per transition.
+    per-rule ``alerts.events`` counters. Each transition is also an
+    ``alert.fired`` / ``alert.resolved`` event of the active tracer.
     """
 
     def __init__(
         self,
         rules: Sequence[AlertRule] = (),
         registry=None,
-        tracer=None,
     ):
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
             raise ObservabilityError(f"duplicate alert rule names in {names}")
         self.rules = list(rules)
         self.registry = registry
-        self.tracer = tracer
         self._states: Dict[str, _RuleState] = {
             rule.name: _RuleState() for rule in self.rules
         }
@@ -311,14 +310,13 @@ class AlertRules:
         self.events_total += 1
         if self.registry is not None and self.registry.enabled:
             self.registry.counter("alerts.events", rule=rule.name, state=state).inc()
-        if self.tracer is not None:
-            self.tracer.event(
-                f"alert.{'fired' if state == 'firing' else 'resolved'}",
-                rule=rule.name,
-                value=value,
-                threshold=rule.threshold,
-                severity=rule.severity,
-            )
+        trace_event(
+            f"alert.{'fired' if state == 'firing' else 'resolved'}",
+            rule=rule.name,
+            value=value,
+            threshold=rule.threshold,
+            severity=rule.severity,
+        )
         return event
 
     # --------------------------------------------------------------- inspection

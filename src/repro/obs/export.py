@@ -53,7 +53,8 @@ from repro.obs.metrics import (
     _sort_key,
     snapshot_digest,
 )
-from repro.obs.schema import validate_snapshot
+from repro.obs.schema import is_finite_number, validate_snapshot
+from repro.profiling import trace_event
 
 #: Schema identifier carried by every exported snapshot record.
 EXPORT_SCHEMA = "repro.obs.export/1"
@@ -156,9 +157,6 @@ class TelemetryExporter:
     rules:
         Declarative :class:`~repro.obs.alerts.AlertRule` list evaluated
         on every export against the fresh snapshot.
-    tracer:
-        Optional tracer receiving ``alert.fired``/``alert.resolved``
-        events and ``export.*`` markers.
     meta:
         Static context (tool name, fleet size, …) copied into every
         record envelope and the ``/healthz`` document.
@@ -175,7 +173,6 @@ class TelemetryExporter:
         http_host: str = "127.0.0.1",
         http_port: Optional[int] = None,
         rules: Sequence[AlertRule] = (),
-        tracer=None,
         meta: Optional[Dict[str, Any]] = None,
         max_bytes: int = 16_000_000,
         clock=time.monotonic,
@@ -186,13 +183,12 @@ class TelemetryExporter:
         self.registry = registry
         self.enabled = bool(getattr(registry, "enabled", False))
         self.interval = float(interval)
-        self.tracer = tracer
         self.meta = dict(meta or {})
         #: Side registry owning alert gauges + export bookkeeping. Never
         #: merged into the monitored registry: its contents are wall-clock
         #: shaped and would break same-seed snapshot digests.
         self.own: MetricsRegistry = MetricsRegistry() if self.enabled else NullRegistry()
-        self.rules = AlertRules(rules, registry=self.own, tracer=tracer)
+        self.rules = AlertRules(rules, registry=self.own)
         self.seq = 0
         self.last_record: Optional[Dict[str, Any]] = None
         self.http_host = http_host
@@ -274,10 +270,9 @@ class TelemetryExporter:
                 self._serve_connection, self.http_host, self.http_port
             )
             self.http_port = self._server.sockets[0].getsockname()[1]
-            if self.tracer is not None:
-                self.tracer.event(
-                    "export.http_started", host=self.http_host, port=self.http_port
-                )
+            trace_event(
+                "export.http_started", host=self.http_host, port=self.http_port
+            )
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(self._periodic())
         return self
@@ -334,8 +329,7 @@ class TelemetryExporter:
         self._closed = True
         if self._writer is not None:
             self._writer.close()
-        if self.tracer is not None:
-            self.tracer.event("export.closed", seq=self.seq)
+        trace_event("export.closed", seq=self.seq)
 
     @property
     def closed(self) -> bool:
@@ -618,9 +612,8 @@ def validate_export_record(record: Any, where: str = "record") -> List[str]:
     if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
         problems.append(f"{where}.seq: expected a positive integer, got {seq!r}")
     for name in ("wall", "uptime"):
-        value = record.get(name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{where}.{name}: expected a number")
+        if not is_finite_number(record.get(name)):
+            problems.append(f"{where}.{name}: expected a finite number")
     if record.get("kind") not in EXPORT_KINDS:
         problems.append(
             f"{where}.kind: expected one of {EXPORT_KINDS}, got {record.get('kind')!r}"

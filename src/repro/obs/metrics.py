@@ -370,45 +370,33 @@ class MetricsRegistry:
         instead of interleaving restarting sim clocks into one stream —
         counters/gauges/histograms still aggregate across the shards.
         """
-        prof = _profiling.ACTIVE
-        frame = prof.start("registry.merge") if prof is not None else None
-        try:
-            self._merge(other, series_labels)
-        finally:
-            if prof is not None:
-                prof.stop(frame)
-
-    def _merge(
-        self,
-        other: "MetricsRegistry",
-        series_labels: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        other.collect()
-        for (name, labels), src in other._counters.items():
-            self.counter(name, **dict(labels)).value += src.value
-        for (name, labels), src in other._gauges.items():
-            dst = self.gauge(name, **dict(labels))
-            dst.value = src.value
-            dst.peak = max(dst.peak, src.peak)
-        for (name, labels), src in other._histograms.items():
-            dst = self.histogram(name, buckets=src.buckets, **dict(labels))
-            if dst.buckets != src.buckets:
-                raise ObservabilityError(
-                    f"cannot merge histogram {name!r}: bucket bounds differ"
-                )
-            for i, n in enumerate(src.counts):
-                dst.counts[i] += n
-            dst.count += src.count
-            # Keep contributions flat so re-merging merged registries
-            # still reduces one multiset of shard sums with fsum.
-            dst._merged_sums.extend(src.sum_terms())
-        for (name, labels), src in other._series.items():
-            merged_labels = dict(labels)
-            if series_labels:
-                merged_labels.update(series_labels)
-            dst = self.series(name, max_samples=src.max_samples, **merged_labels)
-            for t, v in zip(*src.points()):
-                dst.append(t, v)
+        with _profiling.profile_stage("registry.merge"):
+            other.collect()
+            for (name, labels), src in other._counters.items():
+                self.counter(name, **dict(labels)).value += src.value
+            for (name, labels), src in other._gauges.items():
+                dst = self.gauge(name, **dict(labels))
+                dst.value = src.value
+                dst.peak = max(dst.peak, src.peak)
+            for (name, labels), src in other._histograms.items():
+                dst = self.histogram(name, buckets=src.buckets, **dict(labels))
+                if dst.buckets != src.buckets:
+                    raise ObservabilityError(
+                        f"cannot merge histogram {name!r}: bucket bounds differ"
+                    )
+                for i, n in enumerate(src.counts):
+                    dst.counts[i] += n
+                dst.count += src.count
+                # Keep contributions flat so re-merging merged registries
+                # still reduces one multiset of shard sums with fsum.
+                dst._merged_sums.extend(src.sum_terms())
+            for (name, labels), src in other._series.items():
+                merged_labels = dict(labels)
+                if series_labels:
+                    merged_labels.update(series_labels)
+                dst = self.series(name, max_samples=src.max_samples, **merged_labels)
+                for t, v in zip(*src.points()):
+                    dst.append(t, v)
 
 
 class NullRegistry(MetricsRegistry):

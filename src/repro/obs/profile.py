@@ -1,25 +1,33 @@
 """Deterministic stage profiler for the measurement pipeline.
 
 Scoped stage timers (:class:`StageProfiler`), zero-dependency: the
-pipeline's named stages — ``schedule.generate``, ``sim.run``,
-``marking.apply``, ``estimator.fold``, ``validator.fold``,
-``wire.encode``/``wire.decode``, ``trace.io``, ``registry.merge`` —
-carry lightweight monotonic-clock timers that attribute *self* time
-(stage minus its children) and *cumulative* time (whole stage,
-reentrancy-aware) per stage, bucket every call into a fixed-bound
-histogram, and record parent→child edges for call-tree rendering.
+pipeline's named stages (:data:`PIPELINE_STAGES`: the runner's phases,
+``schedule.generate``, ``sim.run``, ``marking.apply``,
+``estimator.fold``, ``validator.fold``, ``wire.encode``/``wire.decode``,
+``trace.io``, ``registry.merge``, the live session) carry lightweight
+monotonic-clock timers that attribute *self* time (stage minus its
+children) and *cumulative* time (whole stage, reentrancy-aware) per
+stage, bucket every call into a fixed-bound histogram, and record
+parent→child edges for call-tree rendering.
+
+A profiler built with a :class:`~repro.obs.tracing.Tracer` is also the
+run's trace: every scoped frame (:func:`~repro.profiling.profile_stage`)
+is recorded as a span with its attributes, and
+:func:`~repro.profiling.trace_event` adds instantaneous events. Manual
+per-item frames (``start(name)``/``stop``) stay aggregate only.
 
 Determinism contract (DESIGN.md §14): profiling must never perturb
 metric snapshot digests. A profiler keeps all of its wall-clock state on
 *itself* and never touches a :class:`~repro.obs.metrics.MetricsRegistry`.
-Stage stats cross process boundaries as data: a sweep worker returns its
-profiler's :meth:`StageProfiler.snapshot` and the parent folds it in with
-:meth:`StageProfiler.absorb`.
+Stage stats and spans cross process boundaries as data: a sweep worker
+returns its profiler's :meth:`StageProfiler.snapshot` and the parent
+folds it in with :meth:`StageProfiler.absorb`.
 
 The process-global activation plumbing (:data:`~repro.profiling.ACTIVE`,
-:func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`)
-lives in :mod:`repro.profiling` so hot modules can import it without the
-``repro.obs`` package cycle; it is re-exported here.
+:func:`~repro.profiling.profiling`, :func:`~repro.profiling.profile_stage`,
+:func:`~repro.profiling.trace_event`) lives in :mod:`repro.profiling` so
+hot modules can import it without the ``repro.obs`` package cycle; it is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -27,14 +35,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
+from repro.obs.tracing import Tracer
 from repro.profiling import (  # noqa: F401  (re-exported API surface)
     active_profiler,
+    active_tracer,
     profile_stage,
     profiling,
     set_active_profiler,
+    trace_event,
 )
 
 PROFILE_SCHEMA = "repro.obs.profile/1"
@@ -47,8 +58,17 @@ STAGE_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 #: one canonical tuple so tests and the bench document can assert
 #: coverage against a single source of truth.
 PIPELINE_STAGES: Tuple[str, ...] = (
+    "sweep.cell",
+    "testbed.build",
+    "traffic.start",
     "schedule.generate",
     "sim.run",
+    "truth.extract",
+    "tool.result",
+    "probe.join",
+    "audit.build",
+    "live.session",
+    "live.assemble",
     "marking.apply",
     "estimator.fold",
     "validator.fold",
@@ -96,26 +116,34 @@ class _StageStat:
 class StageProfiler:
     """Scoped stage timer with self/cumulative attribution.
 
-    Frames are plain lists (``[name, start, child_seconds]``) handed back
-    from :meth:`start` and consumed by :meth:`stop`; the hot-path cost of
-    an instrumented stage is two monotonic clock reads plus a handful of
-    arithmetic ops. Not thread-safe by design — one profiler per thread
-    (the pipeline is single-threaded per cell); the sampler covers
-    threads.
+    Frames are plain lists (``[name, start, child_seconds, attrs]``)
+    handed back from :meth:`start` and consumed by :meth:`stop`; the
+    hot-path cost of an instrumented stage is two monotonic clock reads
+    plus a handful of arithmetic ops. With a ``tracer``, :meth:`stop`
+    also records every frame opened with ``attrs`` (a scoped frame) as a
+    span on the tracer's epoch, its parent the enclosing frame. Frames
+    are one stack per profiler, so they must nest: one profiler per
+    thread (the pipeline is single-threaded per cell), and at most one
+    frame open across an ``await`` (``live.session``).
     """
 
-    def __init__(self, clock=perf_counter):
+    def __init__(self, clock=perf_counter, tracer: Optional[Tracer] = None):
         self._clock = clock
+        self.tracer = tracer
         self._stack: List[list] = []
         self._stats: Dict[str, _StageStat] = {}
         self._edges: Dict[Tuple[str, str], List[float]] = {}
         self._depth: Dict[str, int] = {}
 
     # ------------------------------------------------------------- timing
-    def start(self, name: str) -> list:
-        """Open a stage frame. Pair with :meth:`stop` in a finally block."""
+    def start(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> list:
+        """Open a stage frame. Pair with :meth:`stop` in a finally block.
+
+        A frame opened with ``attrs`` (even empty ones) becomes a span
+        when the profiler traces; one opened without stays aggregate only.
+        """
         self._depth[name] = self._depth.get(name, 0) + 1
-        frame = [name, 0.0, 0.0]
+        frame = [name, 0.0, 0.0, attrs]
         self._stack.append(frame)
         # Clock read last so profiler bookkeeping lands in the parent's
         # self time, not the child's.
@@ -174,12 +202,30 @@ class StageProfiler:
             edge = self._edges[edge_key] = [0, 0.0]
         edge[0] += 1
         edge[1] += duration
+        if self.tracer is not None and frame[3] is not None:
+            self.tracer.record(
+                "span", name, frame[1], duration, edge_key[0] or None, frame[3]
+            )
         return duration
 
+    def event(self, name: str, attrs: Dict[str, Any]) -> None:
+        """Record an instantaneous event on the tracer, if there is one.
+
+        Opens no frame, so another thread may call it; the parent is
+        whatever frame is innermost at that moment.
+        """
+        if self.tracer is None:
+            return
+        try:
+            parent = self._stack[-1][0]
+        except IndexError:
+            parent = None
+        self.tracer.record("event", name, self._clock(), 0.0, parent, attrs)
+
     @contextmanager
-    def stage(self, name: str) -> Iterator[list]:
+    def stage(self, name: str, **attrs: Any) -> Iterator[list]:
         """Scoped form of :meth:`start`/:meth:`stop`."""
-        frame = self.start(name)
+        frame = self.start(name, attrs)
         try:
             yield frame
         finally:
@@ -205,19 +251,24 @@ class StageProfiler:
         ]
 
     def snapshot(self) -> Dict[str, Any]:
-        """The profiler's state as a ``repro.obs.profile/1`` document."""
-        return {
+        """The profiler's state as a ``repro.obs.profile/1`` document; a
+        tracing profiler's also carries its trace records as ``spans``."""
+        snapshot = {
             "schema": PROFILE_SCHEMA,
             "enabled": True,
             "stages": self.stages(),
             "edges": self.edges(),
         }
+        if self.tracer is not None:
+            snapshot["spans"] = self.tracer.spans
+        return snapshot
 
     def absorb(self, snapshot: Dict[str, Any]) -> None:
         """Fold another profiler's :meth:`snapshot` into this one.
 
         Counters and histogram buckets add; ``max_seconds`` takes the
-        max.
+        max. A worker's trace records join this profiler's tracer, if it
+        has one, on the worker's epoch.
         """
         for name, stage in snapshot.get("stages", {}).items():
             stat = self._stats.get(name)
@@ -244,4 +295,6 @@ class StageProfiler:
                 slot = self._edges[key] = [0, 0.0]
             slot[0] += int(edge.get("calls", 0))
             slot[1] += float(edge.get("cum_seconds", 0.0))
+        if self.tracer is not None:
+            self.tracer.spans.extend(snapshot.get("spans", ()))
 

@@ -272,23 +272,21 @@ def validate_trace_lines(lines: Iterable[str]) -> List[str]:
                     f"expected {TRACE_SCHEMA!r}"
                 )
         elif kind in ("span", "event"):
-            for name, types in (
-                ("name", str),
-                ("t0", (int, float)),
-                ("dur", (int, float)),
-                ("attrs", dict),
-            ):
-                if name not in record or not isinstance(record[name], types):
+            for name, types in (("name", str), ("attrs", dict)):
+                if not isinstance(record.get(name), types):
                     problems.append(
                         f"trace line {number}: {kind} field {name!r} missing or mistyped"
                     )
-            dur = record.get("dur")
-            if isinstance(dur, (int, float)) and not (
-                is_finite_number(dur) and dur >= 0
-            ):
-                problems.append(
-                    f"trace line {number}: negative or non-finite duration"
-                )
+            for name, what in (("t0", "start time"), ("dur", "duration")):
+                value = record.get(name)
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    problems.append(
+                        f"trace line {number}: {kind} field {name!r} missing or mistyped"
+                    )
+                elif not (is_finite_number(value) and value >= 0):
+                    problems.append(
+                        f"trace line {number}: negative or non-finite {what}"
+                    )
         else:
             problems.append(f"trace line {number}: unknown record type {kind!r}")
     if count and not saw_meta:

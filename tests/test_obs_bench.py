@@ -255,9 +255,11 @@ class TestSmokeSuite:
     def test_parallel_sweep_absorbs_worker_call_edges(self, smoke_document):
         sweep = smoke_document["scenarios"]["parallel_sweep"]
         edges = {(edge["parent"], edge["stage"]) for edge in sweep["edges"]}
-        assert ("", "sim.run") in edges
+        assert ("", "sweep.cell") in edges
+        assert ("sweep.cell", "sim.run") in edges
         # Only the workers' cells mark; the sweep's own process merges.
-        assert ("", "marking.apply") in edges
+        assert ("tool.result", "marking.apply") in edges
+        assert ("", "registry.merge") in edges
         assert sweep["stages"]["sim.run"]["calls"] == 2  # one per worker cell
 
     def test_scenarios_have_throughput(self, smoke_document):

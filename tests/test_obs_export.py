@@ -49,6 +49,7 @@ from repro.obs.metrics import (
     snapshot_digest,
 )
 from repro.obs.schema import validate_snapshot
+from repro.obs.profile import StageProfiler, profiling
 from repro.obs.tracing import Tracer
 
 
@@ -178,6 +179,11 @@ class TestExportRecords:
         )
         missing = {k: v for k, v in record.items() if k != "metrics"}
         assert any("metrics" in p for p in validate_export_record(missing))
+        for name in ("wall", "uptime"):
+            for bad in (float("nan"), float("inf"), float("-inf"), True):
+                assert validate_export_record({**record, name: bad}) == [
+                    f"record.{name}: expected a finite number"
+                ]
 
     def test_validate_export_file_flags_seq_regression(self, tmp_path):
         exporter = TelemetryExporter(populated_registry())
@@ -428,15 +434,15 @@ class TestAlertRules:
         engine = AlertRules(
             [AlertRule(name="deep", metric="depth", op=">", threshold=10.0)],
             registry=own,
-            tracer=tracer,
         )
-        assert engine.evaluate(snap(gauges={"depth": 5}), wall=1.0) == []
-        events = engine.evaluate(snap(gauges={"depth": 20}), wall=2.0)
-        assert [(e.rule, e.state) for e in events] == [("deep", "firing")]
-        assert engine.active == ["deep"]
-        assert own.gauge("live.alerts_active").value == 1.0
-        events = engine.evaluate(snap(gauges={"depth": 3}), wall=3.0)
-        assert [(e.rule, e.state) for e in events] == [("deep", "resolved")]
+        with profiling(StageProfiler(tracer=tracer)):
+            assert engine.evaluate(snap(gauges={"depth": 5}), wall=1.0) == []
+            events = engine.evaluate(snap(gauges={"depth": 20}), wall=2.0)
+            assert [(e.rule, e.state) for e in events] == [("deep", "firing")]
+            assert engine.active == ["deep"]
+            assert own.gauge("live.alerts_active").value == 1.0
+            events = engine.evaluate(snap(gauges={"depth": 3}), wall=3.0)
+            assert [(e.rule, e.state) for e in events] == [("deep", "resolved")]
         assert engine.active == []
         assert own.gauge("live.alerts_active").value == 0.0
         own_snapshot = own.snapshot()

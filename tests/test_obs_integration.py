@@ -25,10 +25,13 @@ from repro.experiments.runner import (
 )
 from repro.net.faults import FaultProfile
 from repro.obs import (
+    TRACE_SCHEMA,
     MetricsRegistry,
     NullRegistry,
+    StageProfiler,
     Tracer,
     metrics_document,
+    profiling,
     validate_metrics_document,
     validate_trace_lines,
 )
@@ -44,9 +47,9 @@ RUN_KWARGS = dict(
 )
 
 
-def _run(metrics=None, tracer=None, **overrides):
+def _run(metrics=None, **overrides):
     kwargs = dict(RUN_KWARGS, **overrides)
-    return run_badabing(metrics=metrics, tracer=tracer, **kwargs)
+    return run_badabing(metrics=metrics, **kwargs)
 
 
 class TestDeterminism:
@@ -142,7 +145,8 @@ class TestSchemas:
 
     def test_trace_validates(self, tmp_path):
         tracer = Tracer(tool="badabing", seed=3)
-        _run(metrics=MetricsRegistry(), tracer=tracer)
+        with profiling(StageProfiler(tracer=tracer)):
+            _run(metrics=MetricsRegistry())
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(path)
         with open(path, "r", encoding="utf-8") as handle:
@@ -150,14 +154,33 @@ class TestSchemas:
         names = {span["name"] for span in tracer.spans}
         assert {"testbed.build", "sim.run", "probe.join", "tool.result"} <= names
 
-    @pytest.mark.parametrize("dur", [-1.0, float("-inf"), float("nan"), float("inf")])
-    def test_trace_duration_must_be_finite_and_non_negative(self, dur):
-        meta = json.dumps({"type": "meta", "schema": "repro.obs.trace/1"})
-        span = json.dumps(
-            {"type": "span", "name": "sim.run", "t0": 0.0, "dur": dur, "attrs": {}}
-        )
-        assert validate_trace_lines([meta, span]) == [
-            "trace line 2: negative or non-finite duration"
+    BAD_TIMES = (-1.0, float("-inf"), float("nan"), float("inf"))
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            pytest.param("dur", value, "negative or non-finite duration", id=str(value))
+            for value in BAD_TIMES
+        ]
+        + [
+            pytest.param("t0", value, "negative or non-finite start time", id=f"t0={value}")
+            for value in BAD_TIMES
+        ]
+        + [
+            pytest.param(
+                field, value, f"span field {field!r} missing or mistyped",
+                id=f"{field}={value!r}",
+            )
+            for field in ("t0", "dur")
+            for value in (True, "0")
+        ],
+    )
+    def test_trace_duration_must_be_finite_and_non_negative(self, field, value, problem):
+        meta = json.dumps({"type": "meta", "schema": TRACE_SCHEMA})
+        span = {"type": "span", "name": "sim.run", "t0": 0.0, "dur": 0.0, "attrs": {}}
+        span[field] = value
+        assert validate_trace_lines([meta, json.dumps(span)]) == [
+            f"trace line 2: {problem}"
         ]
 
     def test_validator_catches_corruption(self):
@@ -233,16 +256,16 @@ class TestSweepTelemetry:
     def test_shared_registry_across_cells(self):
         registry = MetricsRegistry()
         tracer = Tracer(kind="sweep")
-        outcomes = sweep_badabing(
-            [
-                {"seed": 3},
-                {"seed": 4},
-                {"seed": 5, "max_events": 500, "label": "doomed"},
-            ],
-            metrics=registry,
-            tracer=tracer,
-            **{k: v for k, v in RUN_KWARGS.items() if k != "seed"},
-        )
+        with profiling(StageProfiler(tracer=tracer)):
+            outcomes = sweep_badabing(
+                [
+                    {"seed": 3},
+                    {"seed": 4},
+                    {"seed": 5, "max_events": 500, "label": "doomed"},
+                ],
+                metrics=registry,
+                **{k: v for k, v in RUN_KWARGS.items() if k != "seed"},
+            )
         assert [o.ok for o in outcomes] == [True, True, False]
         counters = registry.snapshot()["counters"]
         assert counters["sweep.cells{status=ok}"] == 2

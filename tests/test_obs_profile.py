@@ -2,11 +2,15 @@
 
 Covers the DESIGN.md §14 contracts: self/cumulative attribution with
 reentrancy, zero-duration spans, exception unwinding, the per-item sites
-(wire codecs, trace writes), snapshot/absorb round trips, and digest
-non-perturbation.
+(wire codecs, trace writes), scoped frames as trace spans, snapshot/absorb
+round trips, and digest non-perturbation.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -18,9 +22,12 @@ from repro.obs.profile import (
     STAGE_BUCKETS,
     StageProfiler,
     active_profiler,
+    active_tracer,
     profile_stage,
     profiling,
+    trace_event,
 )
+from repro.obs.tracing import Tracer
 
 
 class FakeClock:
@@ -138,6 +145,80 @@ class TestStageProfilerBasics:
         assert stages["inner"]["calls"] == 1
 
 
+class TestSpans:
+    def test_scoped_frames_are_spans_and_manual_frames_are_not(self):
+        tracer = Tracer()
+        prof = StageProfiler(tracer=tracer)
+        with profiling(prof):
+            with profile_stage("outer", n=3):
+                frame = prof.start("item")
+                prof.stop(frame)
+                with profile_stage("inner"):
+                    trace_event("beat", k=1)
+        outer, inner, beat = sorted(tracer.spans, key=lambda s: s["t0"])
+        assert (outer["type"], outer["name"], outer["parent"]) == ("span", "outer", None)
+        assert outer["attrs"] == {"n": 3}
+        assert (inner["name"], inner["parent"], inner["attrs"]) == ("inner", "outer", {})
+        assert beat == {
+            "type": "event", "name": "beat", "t0": beat["t0"], "dur": 0.0,
+            "parent": "inner", "attrs": {"k": 1},
+        }
+        assert 0.0 <= outer["t0"] <= beat["t0"] and inner["dur"] <= outer["dur"]
+        # The manual frame is timed but never traced.
+        assert prof.stages()["item"]["calls"] == 1
+
+    def test_abandoned_frames_record_no_span(self):
+        tracer = Tracer()
+        prof = StageProfiler(tracer=tracer)
+        outer = prof.start("outer", {})
+        prof.start("abandoned", {})
+        prof.stop(outer)
+        assert [span["name"] for span in tracer.spans] == ["outer"]
+
+    def test_events_from_another_thread_lose_no_record(self):
+        # The telemetry exporter's thread emits events while the run's
+        # thread opens and closes frames on the same profiler.
+        tracer = Tracer()
+        prof = StageProfiler(tracer=tracer)
+        n_threads, per_thread, frames = 4, 500, 2000
+
+        def emit():
+            for _ in range(per_thread):
+                trace_event("tick")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with profiling(prof):
+                threads = [threading.Thread(target=emit) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for _ in range(frames):
+                    with profile_stage("main"):
+                        pass
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        kinds = Counter(record["type"] for record in tracer.spans)
+        assert kinds == {"event": n_threads * per_thread, "span": frames}
+        assert prof.stages()["main"]["calls"] == frames
+        parents = {r["parent"] for r in tracer.spans if r["type"] == "event"}
+        assert parents <= {None, "main"}
+
+    def test_events_need_a_tracing_profiler(self):
+        assert active_tracer() is None
+        trace_event("nowhere")  # no profiler: a no-op
+        prof = StageProfiler()
+        with profiling(prof):
+            assert active_tracer() is None
+            trace_event("nowhere")
+            with profile_stage("stage"):
+                pass
+        assert list(prof.stages()) == ["stage"]
+
+
 class TestActivation:
     def test_profiling_scope_restores_previous(self):
         outer = StageProfiler()
@@ -162,7 +243,8 @@ class TestItemSites:
         from repro.live.wire import PROBE, ProbeHeader, decode_header, encode_header
 
         header = ProbeHeader(PROBE, 7, 0, 3, 0, 3, 1_000)
-        prof = StageProfiler(clock=FakeClock(step=1.0))
+        tracer = Tracer()
+        prof = StageProfiler(clock=FakeClock(step=1.0), tracer=tracer)
         with profiling(prof):
             with prof.stage("sender"):
                 for _ in range(5):
@@ -176,6 +258,8 @@ class TestItemSites:
         # minus the 10 s charged to its codec children.
         assert stages["sender"]["cum_seconds"] == 21.0
         assert stages["sender"]["self_seconds"] == 11.0
+        # The per-item codec frames never reach the trace.
+        assert [span["name"] for span in tracer.spans] == ["sender"]
 
         # save_measurement's trace.io frame holds write_probes' trace.io
         # frame: outer 0..3 s, inner 1..2 s. Cum counts the wall once.
@@ -189,7 +273,8 @@ class TestItemSites:
                 for slot in (0, 2)
             ],
         )
-        prof = StageProfiler(clock=FakeClock(step=1.0))
+        tracer = Tracer()
+        prof = StageProfiler(clock=FakeClock(step=1.0), tracer=tracer)
         with profiling(prof):
             save_measurement(tmp_path / "trace.jsonl", measurement)
         stat = prof.stages()["trace.io"]
@@ -197,6 +282,8 @@ class TestItemSites:
         assert stat["cum_seconds"] == 3.0
         assert stat["sum_seconds"] == 4.0
         assert stat["self_seconds"] == 3.0
+        # The file-level frame is a span; the TraceWriter write is not.
+        assert [(s["name"], s["parent"]) for s in tracer.spans] == [("trace.io", None)]
 
 
 class TestPublication:
@@ -239,6 +326,22 @@ class TestDocuments:
         stages = other.stages()
         assert stages["sim.run"]["calls"] == 2  # absorbed twice: adds
         assert stages["marking.apply"]["calls"] == 2
+        assert "spans" not in doc
+
+    def test_snapshot_carries_spans_to_a_tracing_absorber(self):
+        worker = StageProfiler(tracer=Tracer())
+        with worker.stage("sweep.cell", label="c"):
+            with worker.stage("sim.run"):
+                pass
+        doc = worker.snapshot()
+        assert [span["name"] for span in doc["spans"]] == ["sim.run", "sweep.cell"]
+        tracer = Tracer()
+        parent = StageProfiler(tracer=tracer)
+        parent.absorb(doc)
+        assert tracer.spans == doc["spans"]
+        assert parent.stages()["sim.run"]["calls"] == 1
+        # An absorber without a tracer keeps the stage stats only.
+        StageProfiler().absorb(doc)
 
     def test_absorb_rejects_bucket_shape_mismatch(self):
         prof = StageProfiler()

@@ -12,12 +12,14 @@ can import them in worker processes.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import execute_parallel_sweep
 from repro.experiments.runner import (
+    HEARTBEAT_BEATS,
     CellPayload,
     RunBudget,
     deadline_outcome,
@@ -113,12 +115,12 @@ class TestSerialParallelEquivalence:
 
     def test_parallel_tracer_absorbs_one_cell_span_per_cell(self):
         tracer = Tracer(kind="sweep")
-        outcomes = sweep_badabing(
-            [{"p": 0.3, "seed": 1}, {"p": 0.3, "seed": 2}],
-            tracer=tracer,
-            workers=2,
-            **CELL,
-        )
+        with profiling(StageProfiler(tracer=tracer)):
+            outcomes = sweep_badabing(
+                [{"p": 0.3, "seed": 1}, {"p": 0.3, "seed": 2}],
+                workers=2,
+                **CELL,
+            )
         assert all(o.ok for o in outcomes)
         cell_spans = [s for s in tracer.spans if s["name"] == "sweep.cell"]
         assert len(cell_spans) == 2
@@ -273,24 +275,17 @@ class TestSerialLiveObjects:
     def test_serial_cells_pass_live_objects_through(self):
         keep = {}
         cell_registry = MetricsRegistry()
-        cell_tracer = Tracer()
         sweep_registry = MetricsRegistry()
         sweep_tracer = Tracer()
-        outcomes = sweep_badabing(
-            [
-                {
-                    "p": 0.3,
-                    "seed": 1,
-                    "keep": keep,
-                    "metrics": cell_registry,
-                    "tracer": cell_tracer,
-                },
-                {"p": 0.3, "seed": 2},
-            ],
-            metrics=sweep_registry,
-            tracer=sweep_tracer,
-            **CELL,
-        )
+        with profiling(StageProfiler(tracer=sweep_tracer)):
+            outcomes = sweep_badabing(
+                [
+                    {"p": 0.3, "seed": 1, "keep": keep, "metrics": cell_registry},
+                    {"p": 0.3, "seed": 2},
+                ],
+                metrics=sweep_registry,
+                **CELL,
+            )
         assert all(o.ok for o in outcomes)
         assert {"sim", "testbed", "tool", "traffic"} <= set(keep)
         assert keep["sim"].metrics is cell_registry
@@ -298,7 +293,6 @@ class TestSerialLiveObjects:
             cell_registry.snapshot()["counters"]["sim.events_processed"]
             == keep["sim"].events_processed
         )
-        assert "sim.run" in {span["name"] for span in cell_tracer.spans}
         # The sweep registry merges the second cell's registry only; the
         # first cell contributes nothing but its sweep.* counts.
         alone = MetricsRegistry()
@@ -307,10 +301,12 @@ class TestSerialLiveObjects:
             alone.snapshot()["counters"]["sim.events_processed"]
         )
         assert sweep_registry.snapshot()["counters"]["sweep.cells{status=ok}"] == 2
-        # In-process cell spans land straight on the sweep tracer's epoch.
+        # In-process cell spans land straight on the sweep tracer's epoch,
+        # each cell's run phases beneath its sweep.cell span.
         first, second = [s for s in sweep_tracer.spans if s["name"] == "sweep.cell"]
         assert second["t0"] >= first["t0"] + first["dur"]
-        assert "sim.run" not in {span["name"] for span in sweep_tracer.spans}
+        runs = [s for s in sweep_tracer.spans if s["name"] == "sim.run"]
+        assert [s["parent"] for s in runs] == ["sweep.cell", "sweep.cell"]
 
 
 class TestProfiledSweep:
@@ -341,6 +337,26 @@ class TestProfiledSweep:
         assert calls[None]["marking.apply"] == len(self.CELLS)
         # Stage call counts are a pure function of the cell seeds.
         assert calls[2] == calls[None]
+
+    def test_traced_sweep_spans_are_its_stage_calls_serial_vs_parallel(self):
+        records = {}
+        for workers in (None, 2):
+            tracer = Tracer()
+            profiler = StageProfiler(tracer=tracer)
+            self._sweep(workers, profiler)
+            spans = Counter(s["name"] for s in tracer.spans if s["type"] == "span")
+            # Every stage of a simulated sweep is a scoped frame, and each
+            # call of it is one span.
+            assert spans == {
+                name: stage["calls"] for name, stage in profiler.stages().items()
+            }
+            records[workers] = Counter((s["type"], s["name"]) for s in tracer.spans)
+        assert records[None][("span", "sweep.cell")] == len(self.CELLS)
+        assert records[None][("span", "probe.join")] == len(self.CELLS)
+        assert records[None][("event", "sim.heartbeat")] == (
+            HEARTBEAT_BEATS * len(self.CELLS)
+        )
+        assert records[2] == records[None]
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_profiling_leaves_the_snapshot_digest_unchanged(self, workers):

@@ -17,7 +17,13 @@ from repro.experiments.runner import (
     run_badabing,
     run_zing,
 )
-from repro.obs import MetricsRegistry, Tracer, snapshot_digest
+from repro.obs import (
+    MetricsRegistry,
+    StageProfiler,
+    Tracer,
+    profiling,
+    snapshot_digest,
+)
 
 
 def test_build_testbed_is_seed_deterministic():
@@ -156,12 +162,19 @@ def _heartbeats(tracer):
     return [span for span in tracer.spans if span["name"] == "sim.heartbeat"]
 
 
+def _traced(run=run_badabing, **kwargs):
+    """``run(**kwargs)`` under a tracing profiler: (result, tracer)."""
+    tracer = Tracer()
+    with profiling(StageProfiler(tracer=tracer)):
+        result, _ = run(**kwargs)
+    return result, tracer
+
+
 def test_tracing_does_not_change_the_run():
     untraced_registry = MetricsRegistry()
     untraced, _ = run_badabing(**TRACED_CELL, metrics=untraced_registry)
     traced_registry = MetricsRegistry()
-    tracer = Tracer()
-    traced, _ = run_badabing(**TRACED_CELL, metrics=traced_registry, tracer=tracer)
+    traced, tracer = _traced(**TRACED_CELL, metrics=traced_registry)
     assert snapshot_digest(traced_registry.snapshot()) == snapshot_digest(
         untraced_registry.snapshot()
     )
@@ -172,13 +185,12 @@ def test_tracing_does_not_change_the_run():
     assert all(beat["type"] == "event" and beat["parent"] == "sim.run" for beat in beats)
     assert beats[-1]["attrs"]["events_processed"] == events
     # A budget the untraced run exactly fits also suffices traced.
-    exact, _ = run_badabing(**TRACED_CELL, tracer=Tracer(), max_events=events)
+    exact, _ = _traced(**TRACED_CELL, max_events=events)
     assert exact.manifest.events_processed == events
 
 
 def test_traced_and_untraced_runs_starve_alike():
-    tracer = Tracer()
-    result, _ = run_badabing(**TRACED_CELL, tracer=tracer)
+    result, tracer = _traced(**TRACED_CELL)
     beats = [beat["attrs"] for beat in _heartbeats(tracer)]
     ends = [beat["events_processed"] for beat in beats]
     leg_end = {beat["events_processed"]: beat["sim_time"] for beat in beats}
@@ -188,9 +200,9 @@ def test_traced_and_untraced_runs_starve_alike():
     assert len(budgets) >= HEARTBEAT_BEATS
     for budget in budgets:
         errors = []
-        for run_tracer in (None, Tracer()):
-            with pytest.raises(BudgetExhaustedError) as excinfo:
-                run_badabing(**TRACED_CELL, tracer=run_tracer, max_events=budget)
+        for profiler in (None, StageProfiler(tracer=Tracer())):
+            with profiling(profiler), pytest.raises(BudgetExhaustedError) as excinfo:
+                run_badabing(**TRACED_CELL, max_events=budget)
             errors.append(excinfo.value)
         untraced, traced = errors
         assert untraced.events_processed == traced.events_processed == budget
@@ -204,15 +216,14 @@ def test_traced_and_untraced_runs_starve_alike():
 
 
 def test_traced_run_zing_records_runner_spans_and_heartbeats():
-    tracer = Tracer()
-    result, _ = run_zing(
-        "episodic_cbr",
+    result, tracer = _traced(
+        run_zing,
+        scenario="episodic_cbr",
         mean_interval=0.05,
         packet_size=64,
         duration=5.0,
         seed=1,
         warmup=2.0,
-        tracer=tracer,
     )
     records = list(tracer.lines())[1:]
     assert [r["name"] for r in records if r["type"] == "span"] == [
